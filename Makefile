@@ -60,11 +60,9 @@ bench-smoke:
 
 # Regenerate the committed engine-path baseline (BENCH_engine.json at
 # the repo root): classic vs per-slot-vectorized vs block-stepped on
-# the sparse-deployment cold-start workload (n in {100, 400, 1600}),
-# the cross-replica batched cells (R in {10, 100} at n=1600,
-# synchronous-wake throttled-contention workload), and the active-set
-# sparse cells (n in {1e4, 1e5} vs dense blocked plus the sparse-only
-# n=1e6 scale cell).  --repeats 5 keeps the vectorized-vs-classic
+# the sparse-deployment cold-start workload (n in {100, 400, 1600}) and
+# the active-set sparse cells (n in {1e4, 1e5} vs dense blocked plus
+# the sparse-only n=1e6 scale cell).  --repeats 5 keeps the vectorized-vs-classic
 # crossover pin stable against timer noise.
 # Commit the refreshed JSON together with whatever engine change
 # motivated it; CI guards it via scripts/check_bench.py.
@@ -74,9 +72,8 @@ bench-json:
 
 # Re-run the engine benchmark and compare against the committed
 # baseline (2x wall-clock tolerance; blocked-vs-per-slot speedup floor
-# on the n=1600 cell, vectorized <= classic at every pinned n, the
-# >= 5x batched-vs-sequential-classic floor on the replica cells, and
-# the >= 3x sparse-vs-blocked floor on the sparse cells).
+# on the n=1600 cell, vectorized <= classic at every pinned n, and the
+# >= 3x sparse-vs-blocked floor on the sparse cells).
 bench-check:
 	PYTHONPATH=src python scripts/check_bench.py
 

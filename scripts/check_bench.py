@@ -9,10 +9,8 @@ baseline was generated from (:mod:`repro.experiments.engine_bench`):
    shows the block-stepped path at least ``--committed-speedup-floor``
    (default 1.5x) faster than the per-slot fast path — the floor
    dropped from the historical 3x when the per-slot crossover fix
-   made the vectorized reference itself ~2x faster; the per-slot
-   vectorized path is no slower than classic at every pinned n; and
-   every cross-replica batched cell beats its sequential-classic
-   baseline by at least ``--replica-speedup-floor`` (default 5x).
+   made the vectorized reference itself ~2x faster; and the per-slot
+   vectorized path is no slower than classic at every pinned n.
    Sparse cells gate the active-set stepping path: every pinned
    ``SPARSE_CELLS`` row must be present, dense-baseline cells must show
    sparse at least ``--sparse-speedup-floor`` (default 3x) faster than
@@ -30,12 +28,12 @@ baseline was generated from (:mod:`repro.experiments.engine_bench`):
    than ``tolerance`` *faster* only warns (stale baseline — regenerate
    with ``make bench-json``).  The fresh run must also keep a relative
    blocked-vs-per-slot speedup of at least ``--fresh-speedup-floor``
-   (default 2x) on the headline cell: relative speedups transfer
+   (default 1.25x) on the headline cell: relative speedups transfer
    across machines far better than absolute seconds, so this is the
-   robust CI signal.  Replica cells get the same treatment with
-   ``--fresh-replica-speedup-floor`` (default 4x) and the
-   vectorized-vs-classic crossover is re-checked with
-   ``--fresh-vectorized-slack`` (default 1.25x) noise headroom.
+   robust CI signal.  The vectorized-vs-classic crossover is re-checked
+   with ``--fresh-vectorized-slack`` (default 1.25x) noise headroom, and
+   sparse cells keep at least ``--fresh-sparse-speedup-floor`` (default
+   2x) over dense blocked.
 
 Exit status 0 iff every gate passes.  Run from the repo root:
 
@@ -54,18 +52,15 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments.engine_bench import (  # noqa: E402
     CELLS,
-    REPLICA_CELLS,
     SCHEMA_VERSION,
     SPARSE_CELLS,
     BenchCell,
-    ReplicaCell,
     SparseCell,
     run_bench,
 )
 
 HEADLINE_N = 1600
 _TIMED_KEYS = ("classic_s", "vectorized_s", "blocked_s")
-_REPLICA_TIMED_KEYS = ("batched_s", "sequential_classic_s")
 _SPARSE_TIMED_KEYS = ("blocked_s", "sparse_s")
 
 
@@ -137,7 +132,6 @@ def check_committed(
     payload: dict,
     *,
     committed_speedup_floor: float,
-    replica_speedup_floor: float,
     sparse_speedup_floor: float,
 ) -> list[str]:
     """Structural and perf-contract gates on the committed baseline."""
@@ -202,50 +196,6 @@ def check_committed(
                     _fail(
                         f"committed n={HEADLINE_N} blocked-vs-per-slot speedup "
                         f"{speedup:.2f}x < required {committed_speedup_floor:.1f}x"
-                    )
-                )
-        except BenchFormatError as exc:
-            errors.append(_fail(str(exc)))
-    try:
-        by_r = {
-            _field(row, "replicas", f"replica_cells[{i}]"): row
-            for i, row in enumerate(
-                _rows(payload, "replica_cells", "committed baseline")
-            )
-        }
-    except BenchFormatError as exc:
-        errors.append(_fail(str(exc)))
-        by_r = {}
-    for rcell in REPLICA_CELLS:
-        row = by_r.get(rcell.replicas)
-        if row is None:
-            errors.append(
-                _fail(
-                    f"committed baseline is missing the R={rcell.replicas} "
-                    "replica cell (regenerate with `make bench-json`)"
-                )
-            )
-            continue
-        label = f"committed R={rcell.replicas} replica cell"
-        try:
-            committed_rcell = _cell_from_row(ReplicaCell, row, label)
-            if committed_rcell != rcell:
-                errors.append(
-                    _fail(
-                        f"R={rcell.replicas}: committed workload "
-                        f"{committed_rcell} does not match the code's cell "
-                        f"definition {rcell} (regenerate with `make bench-json`)"
-                    )
-                )
-                continue
-            speedup = _field(row, "speedup_vs_sequential_classic", label)
-            if speedup < replica_speedup_floor:
-                errors.append(
-                    _fail(
-                        f"committed R={rcell.replicas} "
-                        "batched-vs-sequential-classic speedup "
-                        f"{speedup:.2f}x < required "
-                        f"{replica_speedup_floor:.1f}x"
                     )
                 )
         except BenchFormatError as exc:
@@ -345,7 +295,6 @@ def check_fresh(
     *,
     tolerance: float,
     fresh_speedup_floor: float,
-    fresh_replica_speedup_floor: float,
     fresh_vectorized_slack: float,
     fresh_sparse_speedup_floor: float,
 ) -> tuple[list[str], list[str]]:
@@ -382,25 +331,6 @@ def check_fresh(
                 _fail(
                     f"fresh n={HEADLINE_N} blocked-vs-per-slot speedup "
                     f"{speedup:.2f}x < required {fresh_speedup_floor:.1f}x"
-                )
-            )
-    committed_by_r = {
-        row["replicas"]: row for row in committed.get("replica_cells", ())
-    }
-    for row in fresh.get("replica_cells", ()):
-        base = committed_by_r.get(row["replicas"])
-        if base is not None:
-            _compare_timed(
-                "R", row["replicas"], _REPLICA_TIMED_KEYS, row, base,
-                tolerance=tolerance, errors=errors, warnings=warnings,
-            )
-        speedup = row["speedup_vs_sequential_classic"]
-        if speedup < fresh_replica_speedup_floor:
-            errors.append(
-                _fail(
-                    f"fresh R={row['replicas']} batched-vs-sequential-classic "
-                    f"speedup {speedup:.2f}x < required "
-                    f"{fresh_replica_speedup_floor:.1f}x"
                 )
             )
     committed_by_sn = {
@@ -442,8 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tolerance", type=float, default=2.0)
     parser.add_argument("--committed-speedup-floor", type=float, default=1.5)
     parser.add_argument("--fresh-speedup-floor", type=float, default=1.25)
-    parser.add_argument("--replica-speedup-floor", type=float, default=5.0)
-    parser.add_argument("--fresh-replica-speedup-floor", type=float, default=4.0)
     parser.add_argument("--fresh-vectorized-slack", type=float, default=1.25)
     parser.add_argument("--sparse-speedup-floor", type=float, default=3.0)
     parser.add_argument("--fresh-sparse-speedup-floor", type=float, default=2.0)
@@ -459,7 +387,6 @@ def main(argv: list[str] | None = None) -> int:
     errors = check_committed(
         committed,
         committed_speedup_floor=args.committed_speedup_floor,
-        replica_speedup_floor=args.replica_speedup_floor,
         sparse_speedup_floor=args.sparse_speedup_floor,
     )
     warnings: list[str] = []
@@ -481,7 +408,6 @@ def main(argv: list[str] | None = None) -> int:
             fresh,
             tolerance=args.tolerance,
             fresh_speedup_floor=args.fresh_speedup_floor,
-            fresh_replica_speedup_floor=args.fresh_replica_speedup_floor,
             fresh_vectorized_slack=args.fresh_vectorized_slack,
             fresh_sparse_speedup_floor=args.fresh_sparse_speedup_floor,
         )

@@ -135,16 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "results; pays off when most nodes are asleep or decided)",
     )
     color.add_argument(
-        "--partitions", type=int, default=0, metavar="T",
-        help="spatial domain decomposition into ~T grid tiles with "
-        "halo-exact sub-CSR blocks (byte-identical results; 0 = off)",
-    )
-    color.add_argument(
-        "--partition-workers", type=int, default=1, metavar="W",
-        help="worker processes for partitioned tile scans (default 1 = "
-        "in-process; results are identical at any worker count)",
-    )
-    color.add_argument(
         "--metrics", action="store_true",
         help="also print per-slot channel metrics (totals, peaks, RNG "
         "draws per stream)",
@@ -167,10 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument(
         "--replicas", type=int, default=None, metavar="R",
-        help="run R seeded replicas per configuration on the "
-        "cross-replica batched engine path (experiments that support "
-        "it: e6, e13); sweeps then share one deployment per "
-        "configuration instead of resampling the graph per seed",
+        help="run R seeded replicas per configuration on one shared "
+        "deployment instead of resampling the graph per seed "
+        "(experiments that support it: e6, e13)",
     )
 
     kappa = sub.add_parser("kappa", help="measure kappa_1/kappa_2 of a deployment")
@@ -254,22 +243,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "(0 = off)",
     )
     conform.add_argument(
-        "--replicas", type=int, default=0, metavar="R",
-        help="lockstep-compare an R-replica batched run against its "
-        "per-replica solo runs instead of the classic-vs-vectorized "
-        "comparison (0 = off)",
-    )
-    conform.add_argument(
         "--sparse", action="store_true",
         help="with --family: put the blocked side of the comparison on "
         "the sparse stepping path; without: run the pinned SPARSE_MATRIX "
         "instead of the full matrix",
-    )
-    conform.add_argument(
-        "--partitions", type=int, default=0, metavar="T",
-        help="with --family: put the blocked side on the partitioned "
-        "path with ~T grid tiles; without: any nonzero T runs the "
-        "pinned PARTITION_MATRIX instead of the full matrix",
     )
 
     staticcheck = sub.add_parser(
@@ -339,18 +316,15 @@ def _cmd_color(args) -> int:
         print("--block must be >= 1", file=sys.stderr)
         return 2
     run_kwargs = {}
-    if args.block > 1 or args.sparse or args.partitions:
+    if args.block > 1 or args.sparse:
         from repro.core.vector_node import BernoulliColoringNode
 
         # Block-stepping pays off on the vectorized fast path, which
         # needs the batched node interface; same protocol, same paper.
-        # Sparse and partitioned stepping require that path outright.
+        # Sparse stepping requires that path outright.
         run_kwargs = {"block": args.block, "node_cls": BernoulliColoringNode}
     if args.sparse:
         run_kwargs["sparse"] = True
-    if args.partitions:
-        run_kwargs["partitions"] = args.partitions
-        run_kwargs["partition_workers"] = args.partition_workers
     scale_kwargs = {}
     if args.channels > 1 and args.regime == "practical":
         # Hopping thins the meeting rate by 1/k; scale the constants
@@ -414,10 +388,8 @@ def _cmd_conform(args) -> int:
         arena_matrix,
         block_matrix,
         fuzz,
-        partition_matrix,
         phy_matrix,
         quick_matrix,
-        replica_matrix,
         run_matrix,
         run_scenario,
         sparse_matrix,
@@ -438,9 +410,7 @@ def _cmd_conform(args) -> int:
             phy=args.phy,
             channels=args.channels,
             block=args.block,
-            replicas=args.replicas,
             sparse=args.sparse,
-            partitions=args.partitions,
             protocol=args.protocol,
         )
         reports = [
@@ -449,14 +419,12 @@ def _cmd_conform(args) -> int:
             )
         ]
     else:
-        if args.sparse or args.partitions or args.arena:
-            # Focused pinned matrices for the sparse / partitioned /
-            # arena paths (the flags compose into the concatenation).
+        if args.sparse or args.arena:
+            # Focused pinned matrices for the sparse / arena paths (the
+            # flags compose into the concatenation).
             matrix = ()
             if args.sparse:
                 matrix = matrix + sparse_matrix()
-            if args.partitions:
-                matrix = matrix + partition_matrix()
             if args.arena:
                 matrix = matrix + arena_matrix()
         elif args.quick:
@@ -470,9 +438,7 @@ def _cmd_conform(args) -> int:
                 SCENARIO_MATRIX
                 + phy_matrix()
                 + block_matrix()
-                + replica_matrix()
                 + sparse_matrix()
-                + partition_matrix()
                 + arena_matrix()
             )
         if broken is not None:
@@ -520,8 +486,8 @@ def _cmd_experiment(args) -> int:
 
         if "replicas" not in inspect.signature(mod.run).parameters:
             print(
-                f"{args.id} does not support --replicas (batched sweeps "
-                "are wired into e6 and e13)",
+                f"{args.id} does not support --replicas (shared-deployment "
+                "sweeps are wired into e6 and e13)",
                 file=sys.stderr,
             )
             return 2

@@ -30,7 +30,6 @@ from repro.conform.lockstep import (
     build_lockstep,
     run_block_lockstep,
     run_lockstep,
-    run_replica_lockstep,
     run_unaligned_lockstep,
 )
 from repro.conform.runner import FuzzResult, fuzz, run_matrix, run_scenario
@@ -38,21 +37,17 @@ from repro.conform.scenarios import (
     ARENA_MATRIX,
     BLOCK_MATRIX,
     FAMILIES,
-    PARTITION_MATRIX,
     PHY_MATRIX,
     PHYS,
-    REPLICA_MATRIX,
     SCENARIO_MATRIX,
     SCHEDULES,
     SPARSE_MATRIX,
     Scenario,
     arena_matrix,
     block_matrix,
-    partition_matrix,
     phy_matrix,
     quick_matrix,
     random_scenarios,
-    replica_matrix,
     sparse_matrix,
 )
 
@@ -60,10 +55,8 @@ __all__ = [
     "ARENA_MATRIX",
     "BLOCK_MATRIX",
     "FAMILIES",
-    "PARTITION_MATRIX",
     "PHYS",
     "PHY_MATRIX",
-    "REPLICA_MATRIX",
     "SCENARIO_MATRIX",
     "SCHEDULES",
     "SPARSE_MATRIX",
@@ -82,15 +75,12 @@ __all__ = [
     "build_lockstep",
     "fuzz",
     "localize_slot",
-    "partition_matrix",
     "phy_matrix",
     "quick_matrix",
     "random_scenarios",
     "run_block_lockstep",
     "run_lockstep",
     "run_matrix",
-    "replica_matrix",
-    "run_replica_lockstep",
     "run_scenario",
     "run_unaligned_lockstep",
     "sparse_matrix",

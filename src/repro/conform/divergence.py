@@ -12,7 +12,7 @@ manifests instead of simulating thousands of post-divergence slots).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.radio.trace import TraceEvent
@@ -68,50 +68,22 @@ class Divergence:
     classic: Any
     vectorized: Any
     scenario: "Scenario | None" = None
-    #: replica index for batched-vs-solo comparisons (``None`` for the
-    #: single-run locksteps): the full localization is then
-    #: (replica, slot, node, field), and ``classic`` / ``vectorized``
-    #: carry the solo and batched values respectively.
-    replica: int | None = None
-    #: owning tile of the diverging node under partitioned execution
-    #: (``None`` when the run was unpartitioned or no node is named):
-    #: points the investigation at one tile's sub-CSR / halo-merge
-    #: bookkeeping instead of the whole domain.
-    tile: int | None = None
 
     def reproducer(self) -> dict[str, Any]:
-        """Minimized machine-readable reproducer: the scenario record
-        plus the slot budget needed to reach the divergence."""
+        """Minimized machine-readable reproducer: every field of the
+        scenario record plus the slot budget needed to reach the
+        divergence (``Scenario(**spec)`` without ``max_slots`` rebuilds
+        the scenario exactly)."""
         out: dict[str, Any] = {"max_slots": self.slot + 1}
-        if self.replica is not None:
-            out["replica"] = self.replica
-        if self.tile is not None:
-            out["tile"] = self.tile
         if self.scenario is not None:
-            out.update(
-                family=self.scenario.family,
-                n=self.scenario.n,
-                degree=self.scenario.degree,
-                schedule=self.scenario.schedule,
-                loss_prob=self.scenario.loss_prob,
-                seed=self.scenario.seed,
-                param_scale=self.scenario.param_scale,
-                phy=self.scenario.phy,
-                channels=self.scenario.channels,
-                sparse=self.scenario.sparse,
-                partitions=self.scenario.partitions,
-            )
+            out.update(asdict(self.scenario))
         return out
 
     def describe(self) -> str:
         """Human-readable slot/node-level report with the replay command."""
         where = f"slot {self.slot}"
-        if self.replica is not None:
-            where = f"replica {self.replica}, " + where
         if self.node is not None:
             where += f", node {self.node}"
-        if self.tile is not None:
-            where += f" (tile {self.tile})"
         lines = [
             f"DIVERGENCE at {where}: field {self.field!r}",
             f"  compatibility path: {self.classic!r}",

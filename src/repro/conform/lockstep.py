@@ -32,8 +32,8 @@ exactly where lockstep divergences would come from.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from repro._util import spawn_generator
 from repro.conform.divergence import ConformanceReport, Divergence, localize_slot
 from repro.conform.scenarios import Scenario
 from repro.core.params import Parameters, suggested_max_slots
-from repro.core.protocol import ColoringResult, run_coloring
 from repro.core.strategy import ColoringProtocol, resolve_protocol
 from repro.core.vector_node import BernoulliColoringNode
 from repro.graphs.deployment import Deployment
@@ -60,7 +59,6 @@ __all__ = [
     "build_lockstep",
     "run_block_lockstep",
     "run_lockstep",
-    "run_replica_lockstep",
     "run_unaligned_lockstep",
 ]
 
@@ -358,11 +356,7 @@ def run_block_lockstep(
     scenario: Scenario | None = None,
     phy_factory: Callable[[], PhyModel] | None = None,
     sparse: bool = False,
-    partitions: int = 0,
-    partition_workers: int = 1,
-    channels: int = 1,
     protocol: ColoringProtocol | str | None = None,
-    phy_name: str | None = None,
 ) -> ConformanceReport:
     """Lockstep the vectorized per-slot path against its block-stepped mode.
 
@@ -383,29 +377,16 @@ def run_block_lockstep(
     are compared chunk-by-chunk and any mismatch is localized to its
     exact slot.
 
-    ``sparse`` and ``partitions`` move the *blocked* side onto the
-    engine's accelerated paths (active-set sparse stepping; a
-    :class:`~repro.radio.partition.GridPartition` with the tile-by-tile
-    PHY, scanning on ``partition_workers`` processes) while the per-slot
-    side stays dense — so the byte-identity claim extends to those paths
-    wholesale, draw counters included.  Under partitioned execution a
-    divergence additionally reports the diverging node's tile.
-    ``channels`` must name the channel count when ``phy_factory`` builds
-    a multi-channel PHY, so the partitioned side hops identically;
-    ``phy_name`` likewise names a non-default PHY (e.g. ``"sinr"``) so
-    the partitioned side builds its partition-aware variant.
-    ``protocol`` generalizes the completion condition exactly as in
-    :func:`run_lockstep`.
+    ``sparse`` moves the *blocked* side onto the engine's active-set
+    sparse stepping while the per-slot side stays dense — so the
+    byte-identity claim extends to that route wholesale, draw counters
+    included.  ``protocol`` generalizes the completion condition exactly
+    as in :func:`run_lockstep`.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     proto = resolve_protocol(protocol)
     n = dep.n
-    partition = None
-    if partitions:
-        from repro.radio.partition import GridPartition, make_partitioned_phy
-
-        partition = GridPartition(dep, partitions)
 
     def conform_rng() -> np.random.Generator:
         return spawn_generator(seed, _CONFORM_KEY)
@@ -415,12 +396,7 @@ def run_block_lockstep(
     nodes_a = [node_cls(v, params, trace_a) for v in range(n)]
     nodes_b = [node_cls(v, params, trace_b) for v in range(n)]
 
-    def build(nodes, trace, accelerated: bool) -> RadioSimulator:
-        phy: PhyModel | None
-        if accelerated and partition is not None:
-            phy = make_partitioned_phy(partition, channels, name=phy_name)
-        else:
-            phy = phy_factory() if phy_factory is not None else None
+    def build(nodes, trace, sparse_side: bool) -> RadioSimulator:
         return RadioSimulator(
             dep,
             nodes,
@@ -429,14 +405,12 @@ def run_block_lockstep(
             trace=trace,
             loss_prob=loss_prob,
             vectorized=True,
-            phy=phy,
-            sparse=sparse and accelerated,
-            partition=partition if accelerated else None,
-            partition_workers=partition_workers,
+            phy=phy_factory() if phy_factory is not None else None,
+            sparse=sparse_side,
         )
 
     sim_a = build(nodes_a, trace_a, False)
-    sim_b = build(nodes_b, trace_b, True)
+    sim_b = build(nodes_b, trace_b, sparse)
     if max_slots is None:
         wake_max = int(wake_slots.max()) if n else 0
         max_slots = suggested_max_slots(params, wake_max)
@@ -486,10 +460,6 @@ def run_block_lockstep(
     if divergence is None:
         pair = LockstepPair(sim_a, sim_b, nodes_a, nodes_b)
         divergence = _final_divergence(pair, scenario)
-    if divergence is not None and partition is not None and divergence.node is not None:
-        divergence = replace(
-            divergence, tile=int(partition.tile_of[divergence.node])
-        )
     completed = proto.completed(trace_a, nodes_a) and proto.completed(
         trace_b, nodes_b
     )
@@ -501,156 +471,6 @@ def run_block_lockstep(
         divergence=divergence,
         classic_totals=trace_a.channel_metrics.totals(),
         vectorized_totals=trace_b.channel_metrics.totals(),
-    )
-
-
-def _replica_divergence(
-    r: int,
-    solo: ColoringResult,
-    batched: ColoringResult,
-    scenario: Scenario | None,
-) -> Divergence | None:
-    """First point where replica ``r`` of the batch differs from its solo
-    run, localized to (replica, slot, node, field)."""
-    ta, tb = solo.trace, batched.trace
-    by_slot_a: dict[int, list] = {}
-    for e in ta.events:
-        by_slot_a.setdefault(e.slot, []).append(e)
-    by_slot_b: dict[int, list] = {}
-    for e in tb.events:
-        by_slot_b.setdefault(e.slot, []).append(e)
-    for k in sorted(set(by_slot_a) | set(by_slot_b)):
-        d = localize_slot(k, by_slot_a.get(k, []), by_slot_b.get(k, []), scenario)
-        if d is not None:
-            return replace(d, replica=r)
-    # All six metric columns, slot-exact — protocol_draws/loss_draws
-    # included: replica r's streams must be consumed to the draw like the
-    # solo run's.
-    ma, mb = ta.channel_metrics, tb.channel_metrics
-    for k in range(min(len(ma), len(mb))):
-        row_a, row_b = ma.row(k), mb.row(k)
-        for name in row_a:
-            if row_a[name] != row_b[name]:
-                return Divergence(
-                    k, None, f"metrics.{name}",
-                    row_a[name], row_b[name], scenario, replica=r,
-                )
-    if solo.slots != batched.slots:
-        return Divergence(
-            min(solo.slots, batched.slots), None, "slots",
-            solo.slots, batched.slots, scenario, replica=r,
-        )
-    for name, arr_a, arr_b in (
-        ("final.colors", solo.colors, batched.colors),
-        ("final.tcs", solo.tcs, batched.tcs),
-        ("final.decide_slot", ta.decide_slot, tb.decide_slot),
-        ("final.tx_count", ta.tx_count, tb.tx_count),
-        ("final.rx_count", ta.rx_count, tb.rx_count),
-        ("final.collision_count", ta.collision_count, tb.collision_count),
-    ):
-        if not np.array_equal(arr_a, arr_b):
-            v = int(np.nonzero(arr_a != arr_b)[0][0])
-            return Divergence(
-                solo.slots, v, name, int(arr_a[v]), int(arr_b[v]),
-                scenario, replica=r,
-            )
-    if solo.completed != batched.completed:
-        return Divergence(
-            solo.slots, None, "completed",
-            solo.completed, batched.completed, scenario, replica=r,
-        )
-    return None
-
-
-def run_replica_lockstep(
-    dep: Deployment,
-    params: Parameters,
-    wake_slots: np.ndarray,
-    *,
-    seeds: Sequence[int],
-    loss_prob: float = 0.0,
-    channels: int = 1,
-    max_slots: int | None = None,
-    node_cls: type = BernoulliColoringNode,
-    block: int = 4096,
-    scenario: Scenario | None = None,
-    protocol: ColoringProtocol | str | None = None,
-    phy: str | None = None,
-) -> ConformanceReport:
-    """Lockstep one replica batch against its per-replica solo runs.
-
-    The claim under test is the replica axis's determinism contract
-    (:mod:`repro.radio.replica`): replica ``r`` of one
-    :func:`~repro.radio.replica.run_replicated` call must be
-    **byte-identical** to ``run_coloring(..., seed=seeds[r])`` on the
-    per-slot vectorized path — same colors and intra-cluster colors,
-    same exact stop slot, every level-2 trace event, and all six
-    channel-metric columns including the per-stream RNG draw counters
-    (replica streams are spawned per seed exactly like solo streams, so
-    they must be consumed to the draw).  Because the batch advances on
-    the block-stepped path while the solo side steps per slot, the
-    comparison also re-proves the blocked/per-slot equivalence under
-    batching.  A mismatch is localized to (replica, slot, node, field);
-    the report's ``classic`` side is the solo runs, ``vectorized`` the
-    batch, with channel totals summed over replicas.
-    """
-    from repro.radio.replica import run_replicated
-
-    n = dep.n
-    if max_slots is None:
-        wake_max = int(wake_slots.max()) if n else 0
-        max_slots = suggested_max_slots(params, wake_max) * max(1, channels)
-    solos = [
-        run_coloring(
-            dep,
-            params,
-            wake_slots,
-            seed=s,
-            max_slots=max_slots,
-            trace_level=2,
-            loss_prob=loss_prob,
-            node_cls=node_cls,
-            channels=channels,
-            protocol=protocol,
-            phy=phy,
-        )
-        for s in seeds
-    ]
-    batched = run_replicated(
-        dep,
-        params,
-        wake_slots,
-        seeds=seeds,
-        max_slots=max_slots,
-        trace_level=2,
-        loss_prob=loss_prob,
-        node_cls=node_cls,
-        channels=channels,
-        block=block,
-        protocol=protocol,
-        phy=phy,
-    )
-    divergence: Divergence | None = None
-    for r, (solo, batch) in enumerate(zip(solos, batched)):
-        divergence = _replica_divergence(r, solo, batch, scenario)
-        if divergence is not None:
-            break
-
-    def _totals(results: Sequence[ColoringResult]) -> dict[str, int]:
-        acc: dict[str, int] = {}
-        for x in results:
-            for name, value in sorted(x.trace.channel_metrics.totals().items()):
-                acc[name] = acc.get(name, 0) + value
-        return acc
-
-    return ConformanceReport(
-        scenario=scenario,
-        ok=divergence is None,
-        slots=max((x.slots for x in solos), default=0),
-        completed=all(x.completed for x in solos + batched),
-        divergence=divergence,
-        classic_totals=_totals(solos),
-        vectorized_totals=_totals(batched),
     )
 
 

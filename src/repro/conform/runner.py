@@ -23,7 +23,6 @@ from repro.conform.divergence import ConformanceReport
 from repro.conform.lockstep import (
     run_block_lockstep,
     run_lockstep,
-    run_replica_lockstep,
     run_unaligned_lockstep,
 )
 from repro.conform.scenarios import Scenario, random_scenarios
@@ -50,11 +49,8 @@ def run_scenario(
     ``scenario.block > 0`` the comparison is instead the vectorized
     path's per-slot stepping against its block-stepped mode
     (:func:`~repro.conform.lockstep.run_block_lockstep`), with
-    ``scenario.sparse`` / ``scenario.partitions`` moving the blocked
-    side onto the engine's sparse or partitioned fast path; with
-    ``scenario.replicas > 0`` it is the replica batch against its
-    per-replica solo runs
-    (:func:`~repro.conform.lockstep.run_replica_lockstep`).
+    ``scenario.sparse`` moving the blocked side onto the engine's sparse
+    stepping route.
     """
     dep, params, wake_slots = scenario.build()
     if scenario.phy == "unaligned":
@@ -81,19 +77,6 @@ def run_scenario(
         from repro.radio.channel import SinrPhy
 
         phy_factory = SinrPhy
-    if scenario.replicas:
-        return run_replica_lockstep(
-            dep,
-            params,
-            wake_slots,
-            seeds=scenario.replica_seeds(),
-            loss_prob=scenario.loss_prob,
-            channels=scenario.channels,
-            max_slots=max_slots,
-            scenario=scenario,
-            protocol=scenario.protocol,
-            phy=scenario.phy if scenario.phy != "collision" else None,
-        )
     if scenario.block:
         return run_block_lockstep(
             dep,
@@ -106,10 +89,7 @@ def run_scenario(
             scenario=scenario,
             phy_factory=phy_factory,
             sparse=scenario.sparse,
-            partitions=scenario.partitions,
-            channels=scenario.channels,
             protocol=scenario.protocol,
-            phy_name=scenario.phy if scenario.phy != "collision" else None,
         )
     return run_lockstep(
         dep,

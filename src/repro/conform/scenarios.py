@@ -34,21 +34,17 @@ __all__ = [
     "ARENA_MATRIX",
     "BLOCK_MATRIX",
     "FAMILIES",
-    "PARTITION_MATRIX",
     "PHYS",
     "PHY_MATRIX",
-    "REPLICA_MATRIX",
     "SCENARIO_MATRIX",
     "SCHEDULES",
     "SPARSE_MATRIX",
     "Scenario",
     "arena_matrix",
     "block_matrix",
-    "partition_matrix",
     "phy_matrix",
     "quick_matrix",
     "random_scenarios",
-    "replica_matrix",
     "sparse_matrix",
 ]
 
@@ -87,25 +83,15 @@ class Scenario:
     #: block size for the block-vs-per-slot lockstep (0 = classic-vs-
     #: vectorized lockstep, the default comparison).
     block: int = 0
-    #: replica count for the batched-vs-solo lockstep (0 = not a replica
-    #: cell).  With ``replicas > 0`` the comparison is
-    #: :func:`~repro.conform.lockstep.run_replica_lockstep`: every
-    #: replica of one batched run against its solo run with the same
-    #: seed, divergences localized to (replica, slot, node, field).
-    replicas: int = 0
     #: active-set sparse stepping on the blocked side of a block-lockstep
     #: cell (requires ``block >= 1``): the dense per-slot run is compared
     #: against the sparse scattered-draw run, all six metric columns
     #: included.  ``block=1`` exercises the per-slot sparse path.
     sparse: bool = False
-    #: requested tile count for partitioned execution on the blocked side
-    #: of a block-lockstep cell (0 = unpartitioned; requires
-    #: ``block >= 1``).  Divergences report the diverging node's tile.
-    partitions: int = 0
     #: node-logic strategy (a :mod:`repro.core.strategy` registry name);
     #: ``mw05`` is the paper's protocol, and the lockstep comparisons —
-    #: classic vs vectorized, block, sparse, partition, replica — all
-    #: generalize over it through the protocol's completion predicate.
+    #: classic vs vectorized, block, sparse — all generalize over it
+    #: through the protocol's completion predicate.
     protocol: str = "mw05"
 
     def __post_init__(self) -> None:
@@ -131,31 +117,10 @@ class Scenario:
                 "stepping modes; the unaligned simulator has no "
                 "vectorized path (pick one of block / phy='unaligned')"
             )
-        if self.replicas < 0:
-            raise ValueError("scenarios need replicas >= 0")
-        if self.replicas and self.phy == "unaligned":
-            raise ValueError(
-                "replica batching runs on the vectorized fast path; the "
-                "unaligned simulator has none (pick one of replicas / "
-                "phy='unaligned')"
-            )
-        if self.replicas and self.block:
-            raise ValueError(
-                "replica cells fix their own batch granularity; pick one "
-                "of replicas / block"
-            )
         if self.sparse and not self.block:
             raise ValueError(
                 "sparse cells lockstep the dense per-slot path against "
                 "sparse stepping via the block lockstep; set block >= 1"
-            )
-        if self.partitions < 0:
-            raise ValueError("scenarios need partitions >= 0")
-        if self.partitions and not self.block:
-            raise ValueError(
-                "partition cells lockstep the dense per-slot path against "
-                "partitioned execution via the block lockstep; set "
-                "block >= 1"
             )
         if self.protocol not in protocol_names():
             raise ValueError(
@@ -209,12 +174,6 @@ class Scenario:
         dep = self.build_deployment()
         return dep, self.build_params(dep), self.build_wake_slots(dep)
 
-    def replica_seeds(self) -> list[int]:
-        """The per-replica protocol seeds of a replica cell: a fixed
-        deterministic fan-out of :attr:`seed`, so the cell — like every
-        other scenario — is reproducible from its record alone."""
-        return [self.seed + 101 * r for r in range(self.replicas)]
-
     # ------------------------------------------------------------------
     def label(self) -> str:
         """Compact one-line description for reports."""
@@ -229,12 +188,8 @@ class Scenario:
             base += f" k={self.channels}"
         if self.block:
             base += f" block={self.block}"
-        if self.replicas:
-            base += f" R={self.replicas}"
         if self.sparse:
             base += " sparse"
-        if self.partitions:
-            base += f" tiles={self.partitions}"
         if self.protocol != "mw05":
             base += f" protocol={self.protocol}"
         return base
@@ -252,12 +207,8 @@ class Scenario:
             base += f" --channels {self.channels}"
         if self.block:
             base += f" --block {self.block}"
-        if self.replicas:
-            base += f" --replicas {self.replicas}"
         if self.sparse:
             base += " --sparse"
-        if self.partitions:
-            base += f" --partitions {self.partitions}"
         if self.protocol != "mw05":
             base += f" --protocol {self.protocol}"
         return base
@@ -405,97 +356,18 @@ def sparse_matrix() -> tuple[Scenario, ...]:
     return SPARSE_MATRIX
 
 
-def _partition_matrix() -> tuple[Scenario, ...]:
-    """Pinned dense-vs-partitioned lockstep cells.
-
-    These assert the spatial-decomposition determinism contract
-    (DESIGN.md §5.13): per-tile span scans on speculative generator
-    clones plus the tile-by-tile PHY with its deterministic halo merge
-    must be **byte-identical** to the dense single-domain engine.  The
-    torus cell makes the halo wrap the domain; the quasi-UDG cell has
-    links beyond the unit radius, so both prove the halo is
-    graph-exact, not unit-disk-geometric.  The composed cell runs
-    sparse *and* partitioned at once (the two accelerations share the
-    active-column caches).  A divergence in any cell reports the
-    diverging node's tile id.
-    """
-    return (
-        Scenario(family="udg", n=20, degree=5.0, schedule="sync",
-                 seed=8000, block=256, partitions=4),
-        Scenario(family="torus", n=22, degree=6.0, schedule="random",
-                 loss_prob=0.1, seed=8001, block=64, partitions=4),
-        Scenario(family="quasi_udg", n=18, degree=5.0, schedule="staggered",
-                 seed=8010, block=128, partitions=9),
-        Scenario(family="udg", n=18, degree=5.0, schedule="sync",
-                 seed=8100, phy="multichannel", channels=2,
-                 param_scale=2.0, block=32, partitions=4),
-        Scenario(family="udg", n=22, degree=6.0, schedule="random",
-                 loss_prob=0.1, seed=8110, block=256, partitions=4,
-                 sparse=True),
-    )
-
-
-#: the pinned partition matrix (collision / lossy / multichannel /
-#: composed sparse+partition cells).
-PARTITION_MATRIX: tuple[Scenario, ...] = _partition_matrix()
-
-
-def partition_matrix() -> tuple[Scenario, ...]:
-    """The pinned dense-vs-partitioned scenarios (see
-    :data:`PARTITION_MATRIX`)."""
-    return PARTITION_MATRIX
-
-
-def _replica_matrix() -> tuple[Scenario, ...]:
-    """Pinned batched-vs-solo replica lockstep cells.
-
-    These assert the replica axis's determinism contract: every replica
-    ``r`` of one :func:`~repro.radio.replica.run_replicated` batch must
-    be **byte-identical** — colors, slot counts, every level-2 trace
-    event, and all six channel-metric columns including the per-stream
-    RNG draw counters — to the solo ``run_coloring`` with seed
-    ``replica_seeds()[r]``.  One cell per PHY the batch supports: the
-    default collision PHY, loss injection (each replica's loss child is
-    its own first spawn, so the loss streams must coincide to the
-    draw), and the multi-channel hopping PHY (per-replica hop side
-    streams, spawned second).  Staggered/random wake schedules make the
-    replicas finish at different slots, so the cells also exercise
-    early-finish isolation: a finished replica's streams must not
-    advance while the rest of the batch keeps running.
-    """
-    return (
-        Scenario(family="udg", n=20, degree=5.0, schedule="random",
-                 seed=6000, replicas=5),
-        Scenario(family="torus", n=22, degree=6.0, schedule="staggered",
-                 loss_prob=0.1, seed=6001, replicas=5),
-        Scenario(family="udg", n=18, degree=5.0, schedule="random",
-                 seed=6100, phy="multichannel", channels=2,
-                 param_scale=2.0, replicas=4),
-    )
-
-
-#: the pinned replica matrix (collision / lossy / multichannel cells).
-REPLICA_MATRIX: tuple[Scenario, ...] = _replica_matrix()
-
-
-def replica_matrix() -> tuple[Scenario, ...]:
-    """The pinned batched-vs-solo scenarios (see :data:`REPLICA_MATRIX`)."""
-    return REPLICA_MATRIX
-
-
 def _arena_matrix() -> tuple[Scenario, ...]:
     """Pinned protocol x PHY arena cells.
 
     One lockstep cell per *new* pairing the strategy layer unlocks —
     ``mw05`` over the SINR PHY, and the ``mis`` protocol over every
-    aligned PHY (collision, multichannel, SINR) — plus a blocked and a
-    replica ``mis`` cell so the non-default completion predicate is
-    exercised on the span-stepped and batched paths too (state-scan
-    predicates only change value at processed slots, which the block
-    lockstep verifies slot by slot).  The ``mw05`` x collision /
-    multichannel pairings are pinned by :data:`SCENARIO_MATRIX` and
-    :data:`PHY_MATRIX`; together the three walls back every cell of the
-    E18 arena table.
+    aligned PHY (collision, multichannel, SINR) — plus a blocked ``mis``
+    cell so the non-default completion predicate is exercised on the
+    span-stepped path too (state-scan predicates only change value at
+    processed slots, which the block lockstep verifies slot by slot).
+    The ``mw05`` x collision / multichannel pairings are pinned by
+    :data:`SCENARIO_MATRIX` and :data:`PHY_MATRIX`; together the three
+    walls back every cell of the E18 arena table.
     """
     return (
         Scenario(family="udg", n=18, degree=5.0, schedule="sync",
@@ -511,13 +383,11 @@ def _arena_matrix() -> tuple[Scenario, ...]:
                  seed=9110, protocol="mis", phy="sinr"),
         Scenario(family="udg", n=20, degree=5.0, schedule="staggered",
                  seed=9120, protocol="mis", block=64),
-        Scenario(family="udg", n=20, degree=5.0, schedule="random",
-                 seed=9130, protocol="mis", replicas=4),
     )
 
 
 #: the pinned arena matrix (new protocol x PHY pairings: mw05 x sinr and
-#: mis x {collision, multichannel, sinr}, plus blocked/replica mis cells).
+#: mis x {collision, multichannel, sinr}, plus a blocked mis cell).
 ARENA_MATRIX: tuple[Scenario, ...] = _arena_matrix()
 
 
@@ -558,9 +428,8 @@ def quick_matrix() -> tuple[Scenario, ...]:
             block=32,
         )
     )
-    # One sparse and one partitioned cell guard the engine's fast paths
-    # in the smoke subset (full coverage lives in SPARSE_MATRIX /
-    # PARTITION_MATRIX).
+    # One sparse cell guards the engine's sparse route in the smoke
+    # subset (full coverage lives in SPARSE_MATRIX).
     out.append(
         Scenario(
             family="udg",
@@ -570,18 +439,6 @@ def quick_matrix() -> tuple[Scenario, ...]:
             seed=505,
             block=64,
             sparse=True,
-        )
-    )
-    out.append(
-        Scenario(
-            family="torus",
-            n=16,
-            degree=5.0,
-            schedule="random",
-            loss_prob=0.1,
-            seed=506,
-            block=64,
-            partitions=4,
         )
     )
     # One SINR-PHY and one mis-protocol cell so `repro conform` smokes

@@ -113,8 +113,6 @@ def build_simulator(
     offsets: np.ndarray | None = None,
     channels: int = 1,
     sparse: bool = False,
-    partitions: int = 0,
-    partition_workers: int = 1,
     protocol: ColoringProtocol | str | None = None,
     phy: PhyModel | str | None = None,
 ) -> tuple[RadioSimulator, list[ColoringNode]]:
@@ -122,27 +120,23 @@ def build_simulator(
 
     Exposed separately so tests and experiments can step manually or
     inject observers between slots.  ``sparse`` enables active-set
-    sparse stepping; ``partitions > 0`` builds a
-    :class:`~repro.radio.partition.GridPartition` over the deployment,
-    installs the partition-aware PHY, and scans spans tile-by-tile
-    (``partition_workers`` processes).  Both require the vectorized fast
-    path (a batched ``node_cls``) and are byte-identical to the dense
-    engine — see DESIGN.md §5.13.
+    sparse stepping, which requires the vectorized fast path (a batched
+    ``node_cls``) and is byte-identical to the dense engine — see
+    DESIGN.md §5.12.
 
     ``protocol`` selects the node-logic strategy (a
     :class:`~repro.core.strategy.ColoringProtocol`, a registry name, or
     ``None`` for the paper's ``mw05``); it supplies the default
     ``node_cls`` when none is given.  ``phy`` selects the channel model
     by instance or registry name (``None`` keeps the historical
-    selection: multichannel when ``channels > 1``, else collision), and
-    composes with ``partitions`` through the partition-aware variants.
+    selection: multichannel when ``channels > 1``, else collision).
     """
     proto = resolve_protocol(protocol)
     if node_cls is None:
-        # Sparse stepping and partitioned execution only run on the
-        # vectorized fast path, so the protocol's batched node class is
-        # the only sensible default there.
-        node_cls = proto.node_cls(vectorized=bool(sparse or partitions))
+        # Sparse stepping only runs on the vectorized fast path, so the
+        # protocol's batched node class is the only sensible default
+        # there.
+        node_cls = proto.node_cls(vectorized=sparse)
     trace = TraceRecorder(dep.n, level=trace_level)
     if per_node_params is not None and len(per_node_params) != dep.n:
         raise ValueError("per_node_params must have one entry per node")
@@ -171,10 +165,9 @@ def build_simulator(
                 "multi-channel resolution is not implemented on the "
                 "unaligned engine (pick one of unaligned / channels)"
             )
-        if sparse or partitions:
+        if sparse:
             raise ValueError(
-                "sparse/partitioned execution is not implemented on the "
-                "unaligned engine"
+                "sparse execution is not implemented on the unaligned engine"
             )
         if phy is not None:
             raise ValueError(
@@ -193,18 +186,7 @@ def build_simulator(
         )
     else:
         phy_model = None
-        partition = None
-        if partitions:
-            from repro.radio.partition import GridPartition, make_partitioned_phy
-
-            if phy is not None and not isinstance(phy, str):
-                raise ValueError(
-                    "partitions= builds the partition-aware PHY internally; "
-                    "pass the phy by name, not as an instance"
-                )
-            partition = GridPartition(dep, partitions)
-            phy_model = make_partitioned_phy(partition, channels, name=phy)
-        elif phy is not None:
+        if phy is not None:
             from repro.radio.channel import make_phy
 
             phy_model = phy if not isinstance(phy, str) else make_phy(phy, channels)
@@ -222,8 +204,6 @@ def build_simulator(
             loss_prob=loss_prob,
             phy=phy_model,
             sparse=sparse,
-            partition=partition,
-            partition_workers=partition_workers,
         )
     return sim, nodes
 
@@ -245,8 +225,6 @@ def run_coloring(
     channels: int = 1,
     block: int = 1,
     sparse: bool = False,
-    partitions: int = 0,
-    partition_workers: int = 1,
     protocol: ColoringProtocol | str | None = None,
     phy: PhyModel | str | None = None,
 ) -> ColoringResult:
@@ -301,12 +279,6 @@ def run_coloring(
         scales with the number of nodes that can transmit instead of
         ``n``.  Byte-identical to the dense run; requires a batched
         ``node_cls``.
-    partitions:
-        When ``> 0``, spatial domain decomposition: a grid partition
-        with that many requested tiles scans and resolves each span
-        tile-by-tile (:mod:`repro.radio.partition`), on
-        ``partition_workers`` processes when ``> 1``.  Byte-identical at
-        any tile/worker count; pays off with ``block > 1``.
     protocol:
         Node-logic strategy (a
         :class:`~repro.core.strategy.ColoringProtocol` instance, a
@@ -337,8 +309,6 @@ def run_coloring(
         offsets=offsets,
         channels=channels,
         sparse=sparse,
-        partitions=partitions,
-        partition_workers=partition_workers,
         protocol=proto,
         phy=phy,
     )

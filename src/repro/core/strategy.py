@@ -32,7 +32,7 @@ ship today:
   the run stops as soon as every node is *covered* (entered ``C_0`` or
   learned its leader), and finalization keeps only the elected set.
 
-Determinism contract (DESIGN.md §5.14): a protocol owns *policy*, never
+Determinism contract (DESIGN.md §5.13): a protocol owns *policy*, never
 *randomness* — node behaviors draw from the engine's metered protocol
 stream exactly as before, the completion predicate and finalization
 must be pure functions of node/trace state, and the default ``mw05``
@@ -67,8 +67,7 @@ class ColoringProtocol(ABC):
 
     One instance is stateless and reusable across runs; everything it is
     asked about is a pure function of its arguments (node list, trace),
-    so a protocol can never leak state between replicas or lockstep
-    sides.
+    so a protocol can never leak state between runs or lockstep sides.
     """
 
     #: short identifier used in registries, scenario labels, CLI flags.
@@ -156,8 +155,8 @@ class MisProtocol(ColoringProtocol):
     The standalone primitive :func:`repro.core.mis.run_mis` (which also
     reports per-node cover slots) remains the fine-grained API; this
     class is the same semantics plugged into the shared orchestration,
-    so MIS runs on every engine path — blocked, sparse, partitioned,
-    replica-batched — and over every PHY.
+    so MIS runs on every engine path — per-slot, blocked, sparse — and
+    over every PHY.
     """
 
     name = "mis"

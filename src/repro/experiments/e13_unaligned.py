@@ -25,18 +25,15 @@ from functools import partial
 import numpy as np
 
 from repro.analysis import verify_run
-from repro.core import run_coloring
-from repro.experiments.parallel import (
-    resolve_seeds,
-    run_replicated_sweep,
-    shared_build,
-)
+from repro.core import BernoulliColoringNode, run_coloring
+from repro.experiments.parallel import shared_build
 from repro.experiments.runner import Table, sweep_seeds
-from repro.graphs import random_udg
+from repro.graphs import Deployment, random_udg
 
 __all__ = ["run"]
 
-#: graph seed for the shared deployment in batched (``replicas``) mode
+#: graph seed for the shared deployment in ``replicas`` mode (also the
+#: master seed of every mode's seed list: paired comparison)
 _SHARED_GRAPH_SEED = 17
 
 
@@ -62,25 +59,28 @@ def _one(
     )
 
 
-def _build_scenario(n: int, degree: float) -> tuple:
-    """Shared (deployment, params, wake) triple for batched mode."""
-    dep = random_udg(
+def _build_scenario(n: int, degree: float) -> Deployment:
+    """Shared deployment for ``replicas`` mode."""
+    return random_udg(
         n, expected_degree=degree, seed=_SHARED_GRAPH_SEED, connected=True
     )
-    return dep, None, None
 
 
 def _one_shared(
     unaligned: bool, loss_prob: float, seed: int, n: int, degree: float
 ) -> dict:
-    """Per-seed kernel on the *shared* deployment (batched-mode modes the
-    unaligned simulator cannot batch); the scenario memo keeps workers
-    from rebuilding the graph per seed."""
-    dep, _, _ = shared_build(
+    """Per-seed kernel on the *shared* deployment (``replicas`` mode); the
+    scenario memo keeps workers from rebuilding the graph per seed.  The
+    aligned mode runs on the block-stepped fast path; the unaligned
+    modes only exist on the compatibility engine."""
+    dep = shared_build(
         ("e13", n, degree, _SHARED_GRAPH_SEED), partial(_build_scenario, n, degree)
     )
+    fast = {} if unaligned else {"node_cls": BernoulliColoringNode, "block": 4096}
     return _row(
-        run_coloring(dep, seed=seed, unaligned=unaligned, loss_prob=loss_prob)
+        run_coloring(
+            dep, seed=seed ^ 0xE13, unaligned=unaligned, loss_prob=loss_prob, **fast
+        )
     )
 
 
@@ -94,12 +94,10 @@ def run(
     """Run the experiment; see the module docstring for the claim.
 
     ``replicas > 0`` runs ``replicas`` paired trials per mode on **one
-    shared deployment**: the aligned mode executes as a single
-    cross-replica engine batch (:func:`~repro.experiments.parallel.
-    run_replicated_sweep`); the unaligned modes — which only exist on
-    the compatibility engine — run per seed over the same memoized
-    deployment and seed set, so the paired slowdown ratios still
-    compare like with like.
+    shared deployment** (built once per process through
+    :func:`~repro.experiments.parallel.shared_build`) with the same seed
+    set for every mode, so the paired slowdown ratios still compare like
+    with like.
     """
     table = Table("E13 aligned vs non-aligned slots (Sect. 2 robustness claim)")
     n, degree = (40, 8.0) if quick else (80, 12.0)
@@ -109,34 +107,14 @@ def run(
         ("unaligned", True, 0.0),
         ("unaligned+loss", True, 0.05),
     )
+    kernel = _one_shared if replicas > 0 else _one
     for mode, unaligned, loss_prob in modes:
-        if replicas > 0:
-            # Same child-seed derivation (and protocol-seed XOR) as the
-            # per-seed path; every mode reuses the same seed list.
-            protocol_seeds = [
-                s ^ 0xE13 for s in resolve_seeds(replicas, _SHARED_GRAPH_SEED)
-            ]
-            if unaligned:
-                rows = sweep_seeds(
-                    partial(_one_shared, unaligned, loss_prob, n=n, degree=degree),
-                    seeds=protocol_seeds,
-                    workers=workers,
-                )
-            else:
-                rows = run_replicated_sweep(
-                    partial(_build_scenario, n, degree),
-                    seeds=protocol_seeds,
-                    workers=workers,
-                    metric=_row,
-                    loss_prob=loss_prob,
-                )
-        else:
-            rows = sweep_seeds(
-                partial(_one, unaligned, loss_prob, n=n, degree=degree),
-                seeds=seeds,
-                master_seed=17,  # same seeds for every mode: paired comparison
-                workers=workers,
-            )
+        rows = sweep_seeds(
+            partial(kernel, unaligned, loss_prob, n=n, degree=degree),
+            seeds=replicas if replicas > 0 else seeds,
+            master_seed=_SHARED_GRAPH_SEED,  # same seeds for every mode
+            workers=workers,
+        )
         results[mode] = rows
         table.add(
             engine=mode,
@@ -174,7 +152,6 @@ def run(
     )
     if replicas > 0:
         table.note(
-            f"replicas={replicas}: aligned mode on the cross-replica batched "
-            "engine path; all modes share one deployment and seed set"
+            f"replicas={replicas}: all modes share one deployment and seed set"
         )
     return table

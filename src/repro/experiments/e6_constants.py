@@ -19,8 +19,8 @@ from functools import partial
 import numpy as np
 
 from repro.analysis import verify_run
-from repro.core import Parameters, run_coloring
-from repro.experiments.parallel import resolve_seeds, run_replicated_sweep
+from repro.core import BernoulliColoringNode, Parameters, run_coloring
+from repro.experiments.parallel import shared_build
 from repro.experiments.runner import Table, sweep_seeds
 from repro.graphs import random_udg
 
@@ -46,9 +46,26 @@ def _one(scale: float, seed: int, n: int, degree: float) -> dict:
 
 
 def _build_scenario(scale: float, n: int, degree: float) -> tuple:
-    """Shared (deployment, params, wake) triple for one batched scale."""
+    """Shared (deployment, params) pair for one scale in replica mode."""
     dep = random_udg(n, expected_degree=degree, seed=int(scale * 100), connected=True)
-    return dep, Parameters.for_deployment(dep, scale=scale), None
+    return dep, Parameters.for_deployment(dep, scale=scale)
+
+
+def _one_shared(scale: float, seed: int, n: int, degree: float) -> dict:
+    """Per-seed kernel on the scale's *shared* deployment (replica mode);
+    the scenario memo keeps workers from rebuilding it per seed."""
+    dep, params = shared_build(
+        ("e6", scale, n, degree), partial(_build_scenario, scale, n, degree)
+    )
+    return _row(
+        run_coloring(
+            dep,
+            params=params,
+            seed=seed ^ 0xAB1A,
+            node_cls=BernoulliColoringNode,
+            block=4096,
+        )
+    )
 
 
 def run(
@@ -60,35 +77,26 @@ def run(
 ) -> Table:
     """Run the experiment; see the module docstring for the claim.
 
-    ``replicas > 0`` switches each scale's sweep to the cross-replica
-    batched engine path (:func:`~repro.experiments.parallel.
-    run_replicated_sweep`): ``replicas`` protocol seeds run as one batch
-    over **one shared deployment per scale** (built once per scenario
-    hash) instead of resampling the graph per seed — the failure-rate
-    estimate is then over protocol randomness only, which is the
-    paper's R-trials-per-instance reading of the claim and is what the
-    batched path accelerates.
+    ``replicas > 0`` runs ``replicas`` protocol seeds per scale on **one
+    shared deployment per scale** (built once per process through
+    :func:`~repro.experiments.parallel.shared_build`) instead of
+    resampling the graph per seed — the failure-rate estimate is then
+    over protocol randomness only, the paper's R-trials-per-instance
+    reading of the claim.  Replica runs use the block-stepped fast path
+    (:class:`~repro.core.vector_node.BernoulliColoringNode`,
+    ``block=4096``) and the per-seed path's seed derivation.
     """
     table = Table("E6 constants ablation (Sect. 4 simulation remark)")
     n, degree = (40, 8.0) if quick else (80, 12.0)
     scales = [0.25, 0.5, 1.0, 1.5] if quick else [0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
+    kernel = _one_shared if replicas > 0 else _one
     for scale in scales:
-        if replicas > 0:
-            rows = run_replicated_sweep(
-                partial(_build_scenario, scale, n, degree),
-                # Same child-seed derivation (and protocol-seed XOR) as
-                # the per-seed path, so the two modes stay comparable.
-                seeds=[s ^ 0xAB1A for s in resolve_seeds(replicas, int(scale * 100))],
-                workers=workers,
-                metric=_row,
-            )
-        else:
-            rows = sweep_seeds(
-                partial(_one, scale, n=n, degree=degree),
-                seeds=seeds,
-                master_seed=int(scale * 100),
-                workers=workers,
-            )
+        rows = sweep_seeds(
+            partial(kernel, scale, n=n, degree=degree),
+            seeds=replicas if replicas > 0 else seeds,
+            master_seed=int(scale * 100),
+            workers=workers,
+        )
         table.add(
             regime=f"practical x{scale}",
             gamma=float(np.mean([r["gamma"] for r in rows])),
@@ -115,7 +123,7 @@ def run(
     )
     if replicas > 0:
         table.note(
-            f"replicas={replicas}: cross-replica batched engine path, one "
-            "shared deployment per scale (protocol-seed randomness only)"
+            f"replicas={replicas}: one shared deployment per scale "
+            "(protocol-seed randomness only)"
         )
     return table

@@ -22,12 +22,9 @@ Guarantees and behaviour:
   segfaulted interpreter, broken pool) is re-run serially in the parent;
   one bad seed never loses a sweep.  Deterministic exceptions raised by
   ``fn`` itself still propagate — they would fail serially too.
-- **Replica batching.** :func:`run_replicated_sweep` runs R seeds of
-  *one* scenario on the batched engine path: the scenario (graph + wake
-  schedule + parameters) is built once per scenario hash per process
-  (:func:`shared_build`) instead of once per seed, and each chunk
-  executes as one :func:`~repro.radio.replica.run_replicated` batch —
-  still byte-identical to the per-seed path at any worker count.
+- **Shared scenarios.** Sweeps that run many seeds of *one* scenario
+  (E6/E13 ``replicas=``) build the deployment once per scenario key per
+  process through :func:`shared_build` instead of once per seed.
 - **Telemetry.** Every run records wall time plus the ``slots``/``tx``
   counters its row carries (when present); see :func:`collect_telemetry`
   and :func:`repro.experiments.io.save_sweep_telemetry`.
@@ -56,27 +53,13 @@ from repro._util import RngStream
 
 __all__ = [
     "RunTelemetry",
-    "WorkerCrashError",
     "collect_telemetry",
     "default_workers",
     "resolve_seeds",
-    "run_replicated_sweep",
     "run_sweep",
-    "run_tasks",
     "shared_build",
     "shared_build_stats",
 ]
-
-
-class WorkerCrashError(RuntimeError):
-    """A worker process died while executing a :func:`run_tasks` task.
-
-    Raised instead of the pool's opaque :class:`~concurrent.futures.
-    BrokenExecutor` (or a silent retry): callers of :func:`run_tasks`
-    are *inside* a simulation step, where transparently re-running work
-    could hide a worker that dies deterministically — the partitioned
-    engine wants a named, diagnosable failure, not a hang or an
-    infinite crash-retry loop."""
 
 
 @dataclass(frozen=True)
@@ -152,13 +135,12 @@ def shared_build(key: Any, build: Callable[[], Any]) -> Any:
     """Build an expensive, deterministic scenario once per process.
 
     Replica sweeps run many seeds of the *same* scenario (one
-    deployment, one wake schedule, one parameter set); when such a sweep
-    is chunked across worker processes, every chunk used to rebuild the
-    scenario from scratch — work the batched engine path shares by
-    construction.  This memo keys the built scenario on a caller-chosen
-    hashable ``key`` (the scenario hash): within one process the first
-    call under a key runs ``build()`` and every later call returns the
-    cached object.
+    deployment, one wake schedule, one parameter set); without a memo,
+    every seed — and, across worker processes, every chunk — would
+    rebuild the scenario from scratch.  This memo keys the built
+    scenario on a caller-chosen hashable ``key``: within one process the
+    first call under a key runs ``build()`` and every later call returns
+    the cached object.
 
     ``build`` must be deterministic (same key, same value) — the cache
     makes rebuild-vs-reuse unobservable only under that contract, which
@@ -188,14 +170,6 @@ def shared_build_stats(*, reset: bool = False) -> dict[str, int]:
         _BUILD_STATS["hits"] = _BUILD_STATS["misses"] = 0
         _BUILD_CACHE.clear()
     return stats
-
-
-def _scenario_hash(build: Callable[[], Any]) -> str:
-    """Scenario hash of a picklable build callable: same scenario spec
-    (function + bound arguments), same key — across processes too."""
-    import hashlib
-
-    return hashlib.sha256(pickle.dumps(build)).hexdigest()
 
 
 def _timed_run(fn: Callable[[int], Any], seed: int) -> tuple[Any, float]:
@@ -238,79 +212,6 @@ def _can_dispatch(fn: Callable[[int], Any]) -> bool:
         return True
     except Exception:
         return False
-
-
-def run_tasks(
-    fn: Callable[..., Any],
-    tasks: Iterable[tuple[Any, ...]],
-    *,
-    workers: int | None = None,
-) -> list[Any]:
-    """Deterministic ordered map of ``fn(*task)`` over argument tuples.
-
-    The in-step work-distribution primitive (the partitioned engine
-    dispatches its per-tile span scans through this): results come back
-    in task order regardless of worker scheduling, so any worker count
-    yields the same list.  ``fn`` and every task must be picklable for
-    the pool to be used; ``workers=1`` (or an unpicklable ``fn``, or a
-    single task) runs in-process.
-
-    Failure semantics differ deliberately from :func:`run_sweep`: a
-    *crashed* worker (died process, broken pool) raises
-    :class:`WorkerCrashError` naming the failed task instead of being
-    silently retried — mid-simulation work must fail loudly, never
-    mask a deterministic worker death.  Exceptions raised by ``fn``
-    itself propagate unchanged (they would fail serially too).  A pool
-    that cannot *start* on the platform falls back to in-process
-    execution, as in :func:`run_sweep`.
-    """
-    task_list = [tuple(task) for task in tasks]
-    if workers is None:
-        workers = default_workers()
-    elif workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(task_list) <= 1 or not _can_dispatch(fn):
-        return [fn(*task) for task in task_list]
-    pool = _task_pool(workers)
-    if pool is None:
-        # The pool itself could not start on this platform.
-        return [fn(*task) for task in task_list]
-    futures = [pool.submit(fn, *task) for task in task_list]
-    results: list[Any] = []
-    for i, future in enumerate(futures):
-        try:
-            results.append(future.result())
-        except (BrokenExecutor, OSError, pickle.PickleError) as exc:
-            for pending in futures:
-                pending.cancel()
-            _TASK_POOLS.pop(workers, None)
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise WorkerCrashError(
-                f"worker crashed executing task {i} of {len(task_list)} "
-                f"({getattr(fn, '__module__', '?')}."
-                f"{getattr(fn, '__qualname__', repr(fn))}): {exc!r}"
-            ) from exc
-    return results
-
-
-#: Persistent :func:`run_tasks` pools, one per worker count: span scans
-#: call in every few simulated milliseconds, so pool start-up cost (a
-#: process fork per worker) must be paid once per process, not per call.
-#: A crashed pool is evicted; the next call starts a fresh one.
-_TASK_POOLS: dict[int, ProcessPoolExecutor] = {}
-
-
-def _task_pool(workers: int) -> ProcessPoolExecutor | None:
-    pool = _TASK_POOLS.get(workers)
-    if pool is None:
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        except (OSError, RuntimeError, NotImplementedError):
-            return None
-        _TASK_POOLS[workers] = pool
-    return pool
 
 
 def run_sweep(
@@ -356,7 +257,7 @@ def run_sweep(
 
     timed: list[tuple[Any, float] | None]
     if workers > 1 and len(seed_list) > 1 and _can_dispatch(fn):
-        timed = _dispatch(partial(_run_chunk, fn), seed_list, workers, chunksize)
+        timed = _dispatch(fn, seed_list, workers, chunksize)
     else:
         timed = [None] * len(seed_list)
 
@@ -377,14 +278,15 @@ def run_sweep(
 
 
 def _dispatch(
-    runner: Callable[[list[int]], list[tuple[Any, float]]],
+    fn: Callable[[int], Any],
     seed_list: list[int],
     workers: int,
     chunksize: int | None,
 ) -> list[tuple[Any, float] | None]:
-    """Chunked pool dispatch of a picklable chunk runner; failed or
+    """Chunked pool dispatch of a picklable per-seed ``fn``; failed or
     crashed chunks come back as ``None`` entries for the caller's serial
     retry."""
+    runner = partial(_run_chunk, fn)
     if chunksize is None:
         chunksize = max(1, -(-len(seed_list) // (4 * workers)))
     chunks = [seed_list[i : i + chunksize] for i in range(0, len(seed_list), chunksize)]
@@ -405,107 +307,3 @@ def _dispatch(
         # this platform; every unfilled entry is retried serially.
         pass
     return out
-
-
-def _run_replica_chunk(
-    key: Any,
-    build: Callable[[], tuple[Any, Any, Any]],
-    metric: Callable[[Any], Any] | None,
-    run_kwargs: dict[str, Any],
-    chunk: list[int],
-) -> list[tuple[Any, float]]:
-    """Worker entry point for replica sweeps: one chunk of seeds runs as
-    one engine batch over the memoized scenario build."""
-    from repro.radio.replica import run_replicated
-
-    dep, params, wake_slots = shared_build(key, build)
-    t0 = time.perf_counter()
-    results = run_replicated(dep, params, wake_slots, seeds=chunk, **run_kwargs)
-    wall = (time.perf_counter() - t0) / max(1, len(chunk))
-    rows = [res if metric is None else metric(res) for res in results]
-    return [(row, wall) for row in rows]
-
-
-def run_replicated_sweep(
-    build: Callable[[], tuple[Any, Any, Any]],
-    *,
-    seeds: Iterable[int] | int,
-    master_seed: int = 0,
-    workers: int | None = None,
-    chunksize: int | None = None,
-    metric: Callable[[Any], Any] | None = None,
-    telemetry: list[RunTelemetry] | None = None,
-    scenario_key: Hashable | None = None,
-    **run_kwargs: Any,
-) -> list[Any]:
-    """Run R seeded replicas of **one** scenario on the batched engine
-    path (:func:`repro.radio.replica.run_replicated`), optionally across
-    processes.
-
-    The replica-sweep analogue of :func:`run_sweep`: where ``run_sweep``
-    calls an arbitrary ``fn(seed)`` per run, this takes a zero-argument
-    ``build`` returning the shared ``(deployment, params, wake_slots)``
-    triple, builds it **once per scenario hash per process** (see
-    :func:`shared_build`; ``scenario_key`` overrides the automatic
-    pickled-``build`` hash), and executes each chunk of seeds as one
-    replica batch.  Because replica ``r`` of any batch is byte-identical
-    to the solo run with ``seeds[r]``, the returned rows are identical
-    for every worker count and chunking — parallelism and batching both
-    stay execution details.
-
-    ``metric`` maps each :class:`~repro.core.protocol.ColoringResult` to
-    the row to return (applied inside the worker, so only small rows
-    cross the process boundary; with ``metric=None`` the results
-    themselves are returned and must pickle).  Remaining keyword
-    arguments (``loss_prob``, ``channels``, ``block``, ``max_slots``,
-    ...) pass through to ``run_replicated``.  Per-run telemetry records
-    the chunk's amortized per-seed wall time.
-    """
-    seed_list = resolve_seeds(seeds, master_seed)
-    if workers is None:
-        workers = default_workers()
-    elif workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-
-    dispatchable = (
-        workers > 1
-        and len(seed_list) > 1
-        and _can_dispatch(build)
-        and (metric is None or _can_dispatch(metric))
-    )
-    key: Any
-    if scenario_key is not None:
-        key = scenario_key
-    elif _can_dispatch(build):
-        key = _scenario_hash(build)
-    else:
-        key = ("unpicklable-build", id(build))  # process-local fallback
-
-    runner = partial(_run_replica_chunk, key, build, metric, run_kwargs)
-    timed: list[tuple[Any, float] | None]
-    if dispatchable:
-        timed = _dispatch(runner, seed_list, workers, chunksize)
-    else:
-        timed = [None] * len(seed_list)
-    # Serial path / crash retry: any missing stretch re-runs as one
-    # in-process batch (grouping is invisible to results).
-    missing = [i for i, entry in enumerate(timed) if entry is None]
-    if missing:
-        retried = runner([seed_list[i] for i in missing])
-        for i, entry in zip(missing, retried):
-            timed[i] = entry
-
-    results: list[Any] = []
-    sink = _SINK.get()
-    for seed, entry in zip(seed_list, timed):
-        assert entry is not None
-        result, wall_s = entry
-        record = _telemetry_of(seed, result, wall_s)
-        if telemetry is not None:
-            telemetry.append(record)
-        if sink is not None:
-            sink.append(record)
-        results.append(result)
-    return results

@@ -117,8 +117,8 @@ class Deployment:
         cached on the deployment: node ``v``'s neighbors are
         ``indices[indptr[v]:indptr[v+1]]``.
 
-        Every PHY bind — and, in particular, every replica of a batched
-        run (:mod:`repro.radio.replica`) — shares this one structure
+        Every PHY bind — and, in particular, every simulator of a seed
+        sweep over one shared deployment — shares this one structure
         instead of re-flattening the neighbor lists per simulator.  The
         arrays are read-only for all consumers.
         """

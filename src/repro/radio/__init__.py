@@ -23,8 +23,6 @@ Modules
 - :mod:`repro.radio.channel` — the shared channel-resolution core and
   the pluggable PHY models (collision / multi-channel / SINR);
 - :mod:`repro.radio.engine` — the slot-stepped simulator;
-- :mod:`repro.radio.partition` — spatial domain decomposition (grid
-  tiles with halo-exact CSR sub-blocks) for the vectorized fast path;
 - :mod:`repro.radio.unaligned` — the non-aligned-slots variant;
 - :mod:`repro.radio.trace` — event recording and counters.
 """
@@ -39,13 +37,6 @@ from repro.radio.channel import (
     phy_names,
 )
 from repro.radio.engine import RadioSimulator, SimulationResult
-from repro.radio.partition import (
-    GridPartition,
-    PartitionedCollisionPhy,
-    PartitionedMultiChannelPhy,
-    PartitionedSinrPhy,
-    make_partitioned_phy,
-)
 from repro.radio.messages import (
     AssignMessage,
     ColorMessage,
@@ -63,12 +54,8 @@ __all__ = [
     "CollisionPhy",
     "ColorMessage",
     "CounterMessage",
-    "GridPartition",
     "Message",
     "MultiChannelPhy",
-    "PartitionedCollisionPhy",
-    "PartitionedMultiChannelPhy",
-    "PartitionedSinrPhy",
     "PhyModel",
     "ProtocolNode",
     "RadioSimulator",
@@ -77,7 +64,6 @@ __all__ = [
     "SinrPhy",
     "TraceEvent",
     "TraceRecorder",
-    "make_partitioned_phy",
     "make_phy",
     "message_bits",
     "phy_names",

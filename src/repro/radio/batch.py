@@ -55,9 +55,8 @@ def _csr_from_lists(lists: Sequence[np.ndarray], n: int) -> sparse.csr_matrix:
 
 
 def _adjacency(dep: Deployment) -> sparse.csr_matrix:
-    # Reuse the deployment-cached CSR (the structure every PHY bind and
-    # every partition tile sub-block is carved from) instead of
-    # re-flattening the per-node neighbor lists.
+    # Reuse the deployment-cached CSR (the structure every PHY bind
+    # shares) instead of re-flattening the per-node neighbor lists.
     indptr, indices = dep.csr
     data = np.ones(len(indices), dtype=np.int64)
     return sparse.csr_matrix((data, indices, indptr), shape=(dep.n, dep.n))

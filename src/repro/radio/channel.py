@@ -107,8 +107,9 @@ def build_csr(dep: Deployment) -> tuple[np.ndarray, np.ndarray]:
     ``indices[indptr[v]:indptr[v+1]]``.
 
     Delegates to the deployment's cached :attr:`~repro.graphs.deployment.
-    Deployment.csr` property, so repeated binds — every simulator of a
-    replica batch, every lockstep pair — share one adjacency structure."""
+    Deployment.csr` property, so repeated binds — every run of a seed
+    sweep over one deployment, every lockstep pair — share one adjacency
+    structure."""
     return dep.csr
 
 
@@ -271,12 +272,7 @@ class PhyModel(ABC):
     #: short identifier used in scenario labels and CLI flags.
     name = "phy"
 
-    # Bind-time state.  The attribute layout below is a subclass
-    # contract, not an implementation detail: the partitioned PHYs
-    # (:mod:`repro.radio.partition`) scatter into ``_recv_count`` /
-    # ``_incoming`` / ``_transmitting`` through per-tile CSR sub-blocks
-    # and must observe exactly the persistent-across-slots,
-    # reset-sparsely discipline :meth:`bind` establishes.
+    # Bind-time state (set by :meth:`bind`).
     sim: PhyHost
     _nodes: "Sequence[ProtocolNode]"
     _indptr: np.ndarray
@@ -493,8 +489,8 @@ class SinrPhy(PhyModel):
     The model consumes **no randomness** — geometry and the slot's
     transmission set decide everything — so every clause of the module
     determinism contract holds trivially, and composing ``loss_prob``
-    or block/sparse/partitioned execution changes nothing about which
-    signals decode.
+    or block/sparse execution changes nothing about which signals
+    decode.
     """
 
     name = "sinr"
@@ -537,11 +533,19 @@ class SinrPhy(PhyModel):
         # transmitters only), reset sparsely like _recv_count.
         self._touching: list[list[int] | None] = [None] * sim.deployment.n
 
-    def _touched(self, outbox: list[tuple[int, Message]]) -> list[int]:
-        """Scatter transmissions onto graph neighbors, recording per
+    def resolve(
+        self, slot: int, outbox: list[tuple[int, Message]]
+    ) -> list[Candidate]:
+        """Per-listener SINR judgement of the slot's transmission set.
+
+        Transmissions are scattered onto graph neighbors, recording per
         listener *which* outbox rows touch it (``_recv_count`` holds the
-        counts).  Ascending listener order; the partitioned subclass
-        replaces only this discovery route."""
+        counts); then each touched listener (ascending) gets one row:
+        exactly one neighbor signal above threshold decodes, otherwise
+        the row is a collision/fade carrying the decodable (or touch)
+        count.  The sparse touch state is reset as rows are emitted."""
+        if not outbox:
+            return []
         recv_count = self._recv_count
         touching = self._touching
         indptr, indices = self._indptr, self._indices
@@ -557,25 +561,6 @@ class SinrPhy(PhyModel):
                     rows.append(k)
                 recv_count[u] += 1
         touched.sort()
-        return touched
-
-    def resolve(
-        self, slot: int, outbox: list[tuple[int, Message]]
-    ) -> list[Candidate]:
-        """Per-listener SINR judgement of the slot's transmission set."""
-        if not outbox:
-            return []
-        return self._judge(outbox, self._touched(outbox))
-
-    def _judge(
-        self, outbox: list[tuple[int, Message]], touched: list[int]
-    ) -> list[Candidate]:
-        """Emit candidate rows for the touched listeners (ascending):
-        exactly one neighbor signal above threshold decodes; otherwise
-        the row is a collision/fade carrying the decodable (or touch)
-        count.  Resets the sparse touch state as it goes."""
-        recv_count = self._recv_count
-        touching = self._touching
         transmitting = self._transmitting
         nodes = self._nodes
         pos = self._pos

@@ -67,7 +67,6 @@ changes three experiments later.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -84,9 +83,6 @@ from repro.radio.messages import Message
 from repro.radio.node import ProtocolNode
 from repro.radio.trace import TraceRecorder
 from repro._util import RngMeter
-
-if TYPE_CHECKING:
-    from repro.radio.partition import GridPartition
 
 __all__ = ["RadioSimulator", "SimulationResult", "build_csr"]
 
@@ -152,21 +148,6 @@ class RadioSimulator(SlotSteppedSimulator):
         off when the active set is much smaller than ``n`` (cold-start
         windows, endgame tails); on dense activity the scalar walk is
         slower than one bulk draw.  See docs/model.md for guidance.
-    partition:
-        Spatial domain decomposition (block-stepped path only): a
-        :class:`~repro.radio.partition.GridPartition` whose tiles scan
-        their own active columns over each constant-state span on
-        speculative generator clones, in parallel when
-        ``partition_workers > 1``.  The parent merges tile results
-        deterministically and advances the real stream by whole rows,
-        so results are byte-identical to the dense path at any worker
-        count.  Per-slot :meth:`step` ignores the partition (plain
-        vectorized stepping is already exact); pair with the partitioned
-        PHY from :func:`~repro.radio.partition.make_partitioned_phy` for
-        tile-local channel resolution.
-    partition_workers:
-        Worker processes for partitioned span scans; ``1`` (default)
-        scans tiles inline.
     """
 
     def __init__(
@@ -181,8 +162,6 @@ class RadioSimulator(SlotSteppedSimulator):
         vectorized: bool | None = None,
         phy: PhyModel | None = None,
         sparse: bool = False,
-        partition: GridPartition | None = None,
-        partition_workers: int = 1,
     ) -> None:
         n = deployment.n
         if len(nodes) != n:
@@ -242,17 +221,12 @@ class RadioSimulator(SlotSteppedSimulator):
             )
         else:
             self.vectorized = bool(vectorized)
-        if (sparse or partition is not None) and not self.vectorized:
+        if sparse and not self.vectorized:
             raise ValueError(
-                "sparse stepping and partitioned execution require the "
-                "vectorized fast path (every node must implement the "
-                "batched interface)"
+                "sparse stepping requires the vectorized fast path (every "
+                "node must implement the batched interface)"
             )
-        if partition_workers < 1:
-            raise ValueError(f"partition_workers must be >= 1, got {partition_workers}")
         self.sparse = bool(sparse)
-        self.partition = partition
-        self.partition_workers = int(partition_workers)
         if self.vectorized:
             self._p = np.zeros(n, dtype=np.float64)
             self._evt = np.full(n, _FAR, dtype=np.int64)
@@ -275,14 +249,11 @@ class RadioSimulator(SlotSteppedSimulator):
             self._pa = np.empty(0, dtype=np.float64)
             self._active_gen = -1
             self._draw_buf: np.ndarray | None = None  # step_block segment buffer
-            # Sparse/partition caches, keyed on the state generation like
-            # the fire-candidate cache: the active columns as plain
-            # Python (node, probability) pairs for the scattered walk,
-            # and the same pairs grouped by owning tile for span scans.
+            # Sparse-walk cache, keyed on the state generation like the
+            # fire-candidate cache: the active columns as plain Python
+            # (node, probability) pairs for the scattered walk.
             self._scatter_cols: list[tuple[int, float]] = []
             self._scatter_gen = -1
-            self._tile_cols: list[tuple[int, list[tuple[int, float]]]] = []
-            self._tile_gen = -1
             # Hot-path bound methods (the generator, bit generator, and
             # metrics object are fixed for the simulator's lifetime):
             # saves two attribute chains per slot on the per-slot path.
@@ -384,9 +355,10 @@ class RadioSimulator(SlotSteppedSimulator):
                 record_tx(t, v, msg, outbox)
         return outbox
 
-    def _collect_vectorized(self, t: int) -> list[tuple[int, Message]]:
+    def _collect_vectorized(self, t: int) -> list[int]:
         """Phase 2 (fast path): scheduled events, then one batched
-        Bernoulli draw for all nodes' transmit decisions.
+        Bernoulli draw for all nodes' transmit decisions; returns the
+        firing node ids in ascending order.
 
         The full-width work of the naive formulation is gated on caches:
         scheduled events are only scanned when ``_evt_min`` says one is
@@ -421,32 +393,49 @@ class RadioSimulator(SlotSteppedSimulator):
             self._advance(n)
             return []
         if self.sparse:
-            outbox: list[tuple[int, Message]] = []
-            fired = self._scatter_fire()
-            if fired:
-                record_tx = self.core.record_tx
-                for v in fired:
-                    msg = nodes[v].emit(t)
-                    if msg is not None:
-                        record_tx(t, v, msg, outbox)
-            return outbox
+            return self._scatter_fire()
         # Metered draw, with the proxy's dispatch inlined (this is the
         # hottest line of the per-slot path): identical stream, identical
         # draw accounting.
         u = self._rand(n)
         if active.size == n:
-            fire = np.nonzero(u < self._p)[0]
+            fire: list[int] = np.nonzero(u < self._p)[0].tolist()
         else:
-            fire = active[u.take(active) < self._pa]
-        outbox = []
-        if fire.size:
-            record_tx = self.core.record_tx
-            for v in fire:
-                v = int(v)
-                msg = nodes[v].emit(t)
-                if msg is not None:
-                    record_tx(t, v, msg, outbox)
-        return outbox
+            fire = active[u.take(active) < self._pa].tolist()
+        return fire
+
+    def _fire(self, t: int, fire: list[int]) -> None:
+        """Run fire slot ``t`` of the fast path: each firing node (in
+        ascending order) emits and its transmission is recorded, then
+        the slot is resolved, delivered, and traced by :meth:`_resolve`.
+        The fast path consumes exactly ``n`` protocol draws per slot."""
+        nodes = self.nodes
+        record_tx = self.core.record_tx
+        outbox: list[tuple[int, Message]] = []
+        for v in fire:
+            msg = nodes[v].emit(t)
+            if msg is not None:
+                record_tx(t, v, msg, outbox)
+        self._resolve(t, outbox, len(nodes))
+
+    def _resolve(
+        self, t: int, outbox: list[tuple[int, Message]], protocol_draws: int
+    ) -> None:
+        """Phases 3-4 of slot ``t`` (both paths): the PHY resolves the
+        outbox, the core delivers, and the slot's metrics row records
+        ``protocol_draws`` plus the loss draws delivery consumed."""
+        core = self.core
+        loss0 = core.loss_draws
+        delivered, collided, lost = core.deliver(t, self.phy.resolve(t, outbox))
+        self.trace.channel(
+            t,
+            tx=len(outbox),
+            rx=delivered,
+            collisions=collided,
+            lost=lost,
+            protocol_draws=protocol_draws,
+            loss_draws=core.loss_draws - loss0,
+        )
 
     def step(self) -> None:
         """Advance the network by one slot (and record its channel
@@ -456,49 +445,26 @@ class RadioSimulator(SlotSteppedSimulator):
         if self.vectorized:
             if self._next_wake_slot <= t:
                 self._wake_due(t)
-            outbox = self._collect_vectorized(t)
-            if not outbox:
+            fire = self._collect_vectorized(t)
+            if fire:
+                self._fire(t, fire)
+            else:
                 # Empty-slot laziness (channel contract item 4): with no
                 # transmissions, resolve() is draw-free and deliver() has
                 # no candidates, so skip both — exactly what the
                 # block-stepped path does across empty spans.  The fast
                 # path consumes exactly n protocol draws per slot and no
                 # loss draws, so the metrics row is appended directly
-                # (the fire path below still goes through the slot-
-                # aligned trace.channel, which catches any drift).
+                # (fire slots still go through the slot-aligned
+                # trace.channel, which catches any drift).
                 self._append_metrics(0, 0, 0, 0, len(self.nodes), 0)
-                self.slot = t + 1
-                return
-            loss0 = self.core.loss_draws
-            candidates = self.phy.resolve(t, outbox)
-            delivered, collided, lost = self.core.deliver(t, candidates)
-            self.trace.channel(
-                t,
-                tx=len(outbox),
-                rx=delivered,
-                collisions=collided,
-                lost=lost,
-                protocol_draws=len(self.nodes),
-                loss_draws=self.core.loss_draws - loss0,
-            )
             self.slot = t + 1
             return
         draws0 = self.rng.draws
-        loss0 = self.core.loss_draws
         if self._next_wake_slot <= t:
             self._wake_due(t)
         outbox = self._collect_classic(t)
-        candidates = self.phy.resolve(t, outbox)
-        delivered, collided, lost = self.core.deliver(t, candidates)
-        self.trace.channel(
-            t,
-            tx=len(outbox),
-            rx=delivered,
-            collisions=collided,
-            lost=lost,
-            protocol_draws=self.rng.draws - draws0,
-            loss_draws=self.core.loss_draws - loss0,
-        )
+        self._resolve(t, outbox, self.rng.draws - draws0)
         self.slot = t + 1
 
     # -- block-stepped execution (vectorized fast path only) -------------
@@ -538,11 +504,8 @@ class RadioSimulator(SlotSteppedSimulator):
         n = len(nodes)
         rng = self.rng
         trace = self.trace
-        core = self.core
-        phy = self.phy
         p = self._p
         evt = self._evt
-        record_tx = core.record_tx
         t = self.slot
         end = t + count
 
@@ -605,11 +568,6 @@ class RadioSimulator(SlotSteppedSimulator):
                     trace.channel_empty(t, m, n)
                     t = bound
                     continue
-                if self.partition is not None:
-                    t, stopped = self._partition_span(t, bound, stop_when, check_every)
-                    if stopped:
-                        return True
-                    continue
                 if self.sparse:
                     t, stopped = self._sparse_span(t, bound, stop_when, check_every)
                     if stopped:
@@ -654,29 +612,12 @@ class RadioSimulator(SlotSteppedSimulator):
                     continue
                 self.slot = t
             # Full per-slot machinery for the fire slot t.
-            loss0 = core.loss_draws
             urow = U[t - seg_lo]
             if active.size == n:
                 fire = np.nonzero(urow < p)[0]
             else:
                 fire = active[urow[active] < self._pa]
-            outbox: list[tuple[int, Message]] = []
-            for v in fire:
-                v = int(v)
-                msg = nodes[v].emit(t)
-                if msg is not None:
-                    record_tx(t, v, msg, outbox)
-            candidates = phy.resolve(t, outbox)
-            delivered, collided, lost = core.deliver(t, candidates)
-            trace.channel(
-                t,
-                tx=len(outbox),
-                rx=delivered,
-                collisions=collided,
-                lost=lost,
-                protocol_draws=n,
-                loss_draws=core.loss_draws - loss0,
-            )
+            self._fire(t, fire.tolist())
             t += 1
             self.slot = t
             hits = hits[1:]
@@ -690,7 +631,7 @@ class RadioSimulator(SlotSteppedSimulator):
         self.slot = end
         return False
 
-    # -- sparse / partitioned span execution ------------------------------
+    # -- sparse span execution ----------------------------------------------
     def _sparse_span(
         self,
         t: int,
@@ -714,12 +655,8 @@ class RadioSimulator(SlotSteppedSimulator):
         bound and candidate caches are rebuilt.
         """
         n = len(self.nodes)
-        nodes = self.nodes
         rng = self.rng
         trace = self.trace
-        core = self.core
-        phy = self.phy
-        record_tx = core.record_tx
         check = stop_when is not None and self.all_woken
         run_start = t
         stop_val: bool | None = None
@@ -742,23 +679,7 @@ class RadioSimulator(SlotSteppedSimulator):
             if t > run_start:
                 trace.channel_empty(run_start, t - run_start, n)
             self.slot = t
-            loss0 = core.loss_draws
-            outbox: list[tuple[int, Message]] = []
-            for v in fire:
-                msg = nodes[v].emit(t)
-                if msg is not None:
-                    record_tx(t, v, msg, outbox)
-            candidates = phy.resolve(t, outbox)
-            delivered, collided, lost = core.deliver(t, candidates)
-            trace.channel(
-                t,
-                tx=len(outbox),
-                rx=delivered,
-                collisions=collided,
-                lost=lost,
-                protocol_draws=n,
-                loss_draws=core.loss_draws - loss0,
-            )
+            self._fire(t, fire)
             t += 1
             self.slot = t
             if (
@@ -778,128 +699,3 @@ class RadioSimulator(SlotSteppedSimulator):
             trace.channel_empty(run_start, t - run_start, n)
         self.slot = t
         return t, False
-
-    def _partition_span(
-        self,
-        t: int,
-        bound: int,
-        stop_when: Callable[[SlotSteppedSimulator], bool] | None,
-        check_every: int,
-    ) -> tuple[int, bool]:
-        """Scan the constant-state span ``[t, bound)`` tile-by-tile;
-        returns ``(next_slot, stopped)``.
-
-        Each tile's active columns are walked by :func:`~repro.radio.
-        partition.scan_tile` on a *clone* of the protocol stream
-        positioned at the span start (dispatched to worker processes when
-        ``partition_workers > 1``); the clones read the same lattice
-        positions the dense row draws would occupy, so the merged result
-        — minimum fire offset across tiles, firing columns in ascending
-        node order — is byte-identical to the dense path at any worker
-        count.  The parent generator only ever advances by whole rows
-        (``rng.skip``): the silent prefix plus, when a tile fired, the
-        fire row itself.  Tiles that fired later than the minimum are
-        discarded and rescanned on the next call (fires are rare in the
-        regimes where partitioning pays off).
-        """
-        n = len(self.nodes)
-        nodes = self.nodes
-        rng = self.rng
-        trace = self.trace
-        core = self.core
-        phy = self.phy
-        part = self.partition
-        assert part is not None
-        from repro.radio.partition import scan_tile
-
-        if self._tile_gen != self._gen:
-            groups: dict[int, list[tuple[int, float]]] = {}
-            tof = part.tile_of
-            for a, pa, tid in zip(
-                self._active.tolist(),
-                self._pa.tolist(),
-                tof[self._active].tolist(),
-            ):
-                groups.setdefault(tid, []).append((a, pa))
-            self._tile_cols = sorted(groups.items())
-            self._tile_gen = self._gen
-        count = bound - t
-        state = rng.generator.bit_generator.state
-        tasks = [(state, cols, count, n) for _, cols in self._tile_cols]
-        if self.partition_workers > 1 and len(tasks) > 1:
-            from repro.experiments.parallel import run_tasks
-
-            results = run_tasks(scan_tile, tasks, workers=self.partition_workers)
-        else:
-            results = [scan_tile(*task) for task in tasks]
-        hits = [r for r in results if r is not None]
-        check = stop_when is not None and self.all_woken
-        if not hits:
-            # Whole span silent in every tile: identical bookkeeping to
-            # the all-passive skip path.
-            if check:
-                s = _stop_boundary(t + 1, bound, check_every)
-                if s is not None:
-                    self.slot = s
-                    assert stop_when is not None
-                    if stop_when(self):
-                        rng.skip((s - t) * n)
-                        trace.channel_empty(t, s - t, n)
-                        return s, True
-            rng.skip(count * n)
-            trace.channel_empty(t, count, n)
-            return bound, False
-        s_rel = min(h[0] for h in hits)
-        f = t + s_rel
-        if s_rel > 0:
-            # Empty prefix [t, f): state frozen, one predicate
-            # evaluation covers every check boundary inside it.
-            if check:
-                s = _stop_boundary(t + 1, f, check_every)
-                if s is not None:
-                    self.slot = s
-                    assert stop_when is not None
-                    if stop_when(self):
-                        rng.skip((s - t) * n)
-                        trace.channel_empty(t, s - t, n)
-                        return s, True
-            trace.channel_empty(t, s_rel, n)
-        # Clone draws are speculative; the authoritative stream advances
-        # by whole rows only — the silent prefix plus the fire row.
-        rng.skip((s_rel + 1) * n)
-        fire = sorted(a for h in hits if h[0] == s_rel for a in h[1])
-        self.slot = f
-        loss0 = core.loss_draws
-        outbox: list[tuple[int, Message]] = []
-        record_tx = core.record_tx
-        for v in fire:
-            msg = nodes[v].emit(f)
-            if msg is not None:
-                record_tx(f, v, msg, outbox)
-        candidates = phy.resolve(f, outbox)
-        delivered, collided, lost = core.deliver(f, candidates)
-        trace.channel(
-            f,
-            tx=len(outbox),
-            rx=delivered,
-            collisions=collided,
-            lost=lost,
-            protocol_draws=n,
-            loss_draws=core.loss_draws - loss0,
-        )
-        t = f + 1
-        self.slot = t
-        if (
-            stop_when is not None
-            and self.all_woken
-            and t % check_every == 0
-            and stop_when(self)
-        ):
-            return t, True
-        return t, False
-
-
-def _stop_boundary(lo: int, hi: int, every: int) -> int | None:
-    """First stop-check slot counter in ``[lo, hi]``, or ``None``."""
-    s = -(lo // -every) * every
-    return s if s <= hi else None

@@ -19,9 +19,11 @@ import numpy as np
 import pytest
 
 from repro.conform import (
+    ARENA_MATRIX,
+    BLOCK_MATRIX,
     PHY_MATRIX,
-    REPLICA_MATRIX,
     SCENARIO_MATRIX,
+    Divergence,
     LateActivationNode,
     OffByOneCounterNode,
     Scenario,
@@ -32,7 +34,6 @@ from repro.conform import (
     phy_matrix,
     quick_matrix,
     random_scenarios,
-    replica_matrix,
     run_matrix,
     run_scenario,
 )
@@ -148,75 +149,6 @@ class TestPhyMatrix:
         assert "phy=" not in SCENARIO_MATRIX[0].label()
 
 
-class TestReplicaMatrix:
-    """The pinned batched-vs-solo cells: every replica of a batched run
-    must be byte-identical to the solo run with the same seed."""
-
-    @pytest.mark.parametrize(
-        "scenario", replica_matrix(), ids=_labels(replica_matrix())
-    )
-    def test_batch_conforms(self, scenario):
-        report = run_scenario(scenario)
-        assert report.ok, report.describe()
-        assert report.completed, report.describe()
-        # Byte-identity includes the draw counters: summed channel
-        # totals must agree on all six columns, not just the four the
-        # classic-vs-vectorized lockstep compares.
-        assert report.classic_totals == report.vectorized_totals
-
-    def test_matrix_covers_required_phys(self):
-        """One cell per PHY the ISSUE requires: collision, lossy,
-        multichannel — seeds pinned and distinct."""
-        assert any(
-            s.phy == "collision" and s.loss_prob == 0 for s in REPLICA_MATRIX
-        )
-        assert any(s.loss_prob > 0 for s in REPLICA_MATRIX)
-        assert any(s.phy == "multichannel" for s in REPLICA_MATRIX)
-        assert all(s.replicas >= 4 for s in REPLICA_MATRIX)
-        assert len({s.seed for s in REPLICA_MATRIX}) == len(REPLICA_MATRIX)
-
-    def test_replica_seeds_are_deterministic_fanout(self):
-        s = REPLICA_MATRIX[0]
-        assert s.replica_seeds() == s.replica_seeds()
-        assert len(set(s.replica_seeds())) == s.replicas
-        assert "R=" in s.label()
-        assert f"--replicas {s.replicas}" in s.cli_args()
-
-    def test_scenario_replica_validation(self):
-        with pytest.raises(ValueError, match="replicas"):
-            Scenario(replicas=-1)
-        with pytest.raises(ValueError, match="vectorized"):
-            Scenario(phy="unaligned", replicas=2)
-        with pytest.raises(ValueError, match="granularity"):
-            Scenario(replicas=2, block=8)
-
-    def test_replica_divergence_carries_replica_index(self):
-        """A mismatching pair must localize to (replica, slot, node,
-        field) — proven by comparing two *different-seed* runs as if
-        they were a replica pair."""
-        from repro.conform.lockstep import _replica_divergence
-        from repro.core.vector_node import BernoulliColoringNode
-        from repro import run_coloring
-
-        scenario = REPLICA_MATRIX[0]
-        dep, params, wake = scenario.build()
-        a = run_coloring(
-            dep, params, wake, seed=1, trace_level=2,
-            node_cls=BernoulliColoringNode,
-        )
-        b = run_coloring(
-            dep, params, wake, seed=2, trace_level=2,
-            node_cls=BernoulliColoringNode,
-        )
-        d = _replica_divergence(3, a, b, scenario)
-        assert d is not None
-        assert d.replica == 3
-        assert "replica 3" in d.describe()
-        assert d.reproducer()["replica"] == 3
-        # Identical runs localize to nothing.
-        assert _replica_divergence(0, a, a, scenario) is None
-
-
 @pytest.mark.conform
 class TestLocalizerRegression:
     """The localizer must name the exact slot and node of a known bug."""
@@ -282,6 +214,24 @@ class TestLocalizerRegression:
         assert replayed.divergence.field == report.divergence.field
         # Minimized: the replay stops right at the divergent slot.
         assert replayed.slots == repro_spec["max_slots"]
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            BLOCK_MATRIX[-1],
+            next(s for s in ARENA_MATRIX if s.protocol == "mis" and s.channels > 1),
+        ],
+        ids=["block", "mis"],
+    )
+    def test_reproducer_is_the_full_scenario_record(self, scenario):
+        """The reproducer carries every scenario field (block size and
+        protocol included), so the spec replays the same comparison."""
+        spec = Divergence(
+            slot=41, node=3, field="tx", classic=None, vectorized=None,
+            scenario=scenario,
+        ).reproducer()
+        assert spec.pop("max_slots") == 42
+        assert Scenario(**spec) == scenario
 
     def test_late_activation_localized(self):
         report = run_scenario(

@@ -88,13 +88,16 @@ def test_lockstep_under_arbitrary_scripts(script):
     rng = AlwaysTransmit()
     opt.wake(0)
     ref.wake(0)
-    slot = 0
-    for action in script:
+    # Engine slot order: a slot's transmit phase (step) comes first and
+    # its receptions (deliver) follow under the same slot number, as in
+    # the scripted tests.  The leading None steps the wake-up slot.
+    slot = -1
+    for action in [None, *script]:
         if action is None:
+            slot += 1
             a = observe(opt, slot, opt.step(slot, rng))
             b = observe(ref, slot, ref.step(slot, rng))
             assert a == b, f"diverged at slot {slot}: {a} != {b}"
-            slot += 1
         else:
             opt.deliver(slot, action)
             ref.deliver(slot, action)

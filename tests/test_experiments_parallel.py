@@ -13,7 +13,6 @@ from repro.experiments.parallel import (
     collect_telemetry,
     default_workers,
     resolve_seeds,
-    run_replicated_sweep,
     run_sweep,
     shared_build,
     shared_build_stats,
@@ -151,23 +150,6 @@ class TestTelemetry:
         assert load_sweep_telemetry(path) == tel
 
 
-def _tiny_scenario():
-    from repro.core import Parameters
-    from repro.graphs import random_udg
-
-    dep = random_udg(12, expected_degree=5.0, seed=3, connected=True)
-    params = Parameters.practical(12, max(2, dep.max_degree), 5, 18)
-    return dep, params, None
-
-
-def _slots_row(res):
-    return {
-        "slots": res.slots,
-        "colors": sorted(set(res.colors.tolist())),
-        "tx_total": int(res.trace.channel_metrics.totals()["tx"]),
-    }
-
-
 class TestSharedBuild:
     def test_builds_once_per_key(self):
         shared_build_stats(reset=True)
@@ -189,71 +171,52 @@ class TestSharedBuild:
             shared_build(["list", "key"], lambda: 1)
 
 
-class TestReplicatedSweep:
-    """Regression: the replica worker path (build once per scenario
-    hash, run chunks as engine batches) stays byte-identical to the
-    in-process path — and to the per-seed vectorized solo runs."""
+class TestReplicaMode:
+    """E6/E13 ``replicas=`` mode: R protocol seeds per configuration on
+    one shared deployment, each an ordinary block-stepped
+    ``run_coloring``.  The rows are pinned to the values the former
+    cross-replica engine batch produced (replica ``r`` was byte-identical
+    to the solo run with the same seed), so any trajectory change in the
+    replica sweep fails here."""
 
-    def test_worker_vs_in_process_byte_identity(self):
-        seeds = [41, 42, 43, 44, 45]
-        serial = run_replicated_sweep(
-            _tiny_scenario, seeds=seeds, workers=1, metric=_slots_row
-        )
-        for chunksize in (1, 2, 100):
-            par = run_replicated_sweep(
-                _tiny_scenario,
-                seeds=seeds,
-                workers=2,
-                chunksize=chunksize,
-                metric=_slots_row,
-            )
-            assert par == serial
+    def test_e6_replica_sweep_rows_pinned(self):
+        from repro.experiments import e6_constants
 
-    def test_matches_per_seed_solo_runs(self):
-        from repro.core import BernoulliColoringNode, run_coloring
-
-        dep, params, _ = _tiny_scenario()
-        seeds = [7, 8, 9]
-        batched = run_replicated_sweep(
-            _tiny_scenario, seeds=seeds, workers=1, metric=_slots_row
-        )
-        solo = [
-            _slots_row(
-                run_coloring(dep, params, seed=s, node_cls=BernoulliColoringNode)
-            )
-            for s in seeds
-        ]
-        assert batched == solo
-
-    def test_scenario_built_once_in_process(self):
         shared_build_stats(reset=True)
-        run_replicated_sweep(_tiny_scenario, seeds=[1, 2], workers=1, metric=_slots_row)
-        run_replicated_sweep(_tiny_scenario, seeds=[3, 4], workers=1, metric=_slots_row)
-        stats = shared_build_stats()
-        assert stats["misses"] == 1 and stats["hits"] >= 1
-
-    def test_unpicklable_build_falls_back_serially(self):
-        dep, params, wake = _tiny_scenario()
-        rows = run_replicated_sweep(
-            lambda: (dep, params, wake),  # lambdas cannot cross processes
-            seeds=[5, 6],
-            workers=4,
-            metric=_slots_row,
+        rows = sweep_seeds(
+            partial(e6_constants._one_shared, 0.5, n=40, degree=8.0),
+            seeds=3,
+            master_seed=50,  # int(scale * 100), as in e6_constants.run
+            workers=1,
         )
-        assert rows == run_replicated_sweep(
-            _tiny_scenario, seeds=[5, 6], workers=1, metric=_slots_row
+        assert rows == [
+            {"ok": True, "t_max": 3446.0, "t_mean": 2027.8, "gamma": 7.0,
+             "threshold": 751},
+            {"ok": True, "t_max": 3218.0, "t_mean": 1941.775, "gamma": 7.0,
+             "threshold": 751},
+            {"ok": False, "t_max": 3203.0, "t_mean": 1944.15, "gamma": 7.0,
+             "threshold": 751},
+        ]
+        # One deployment per scale, built once and shared by every seed.
+        assert shared_build_stats() == {"hits": 2, "misses": 1}
+
+    def test_e13_aligned_replica_rows_pinned(self):
+        from repro.experiments import e13_unaligned
+
+        rows = sweep_seeds(
+            partial(e13_unaligned._one_shared, False, 0.0, n=40, degree=8.0),
+            seeds=3,
+            master_seed=e13_unaligned._SHARED_GRAPH_SEED,
+            workers=1,
         )
-
-    def test_telemetry_and_results_without_metric(self):
-        with collect_telemetry() as tel:
-            results = run_replicated_sweep(_tiny_scenario, seeds=[11, 12], workers=1)
-        assert [t.seed for t in tel] == [11, 12]
-        assert all(t.wall_s >= 0 for t in tel)
-        assert [r.completed for r in results] == [True, True]
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            run_replicated_sweep(_tiny_scenario, seeds=2, workers=-1)
+        assert rows == [
+            {"ok": True, "t_max": 7300.0, "t_mean": 4317.925,
+             "rx_per_tx": 3.65810718801673},
+            {"ok": True, "t_max": 7532.0, "t_mean": 4578.625,
+             "rx_per_tx": 4.543710263396912},
+            {"ok": True, "t_max": 9963.0, "t_mean": 4722.325,
+             "rx_per_tx": 3.6810131658089955},
+        ]
 
 
 class TestTableCsvFormatting:
@@ -275,94 +238,3 @@ class TestTableCsvFormatting:
         assert "aggregate" in runner.__all__
         agg = aggregate([{"x": 1.0}, {"x": 3.0}], "x")
         assert agg == {"mean": 2.0, "max": 3.0}
-
-
-def _mul(a, b):
-    return a * b
-
-
-def _exit_in_worker(parent_pid, x):
-    # Dies only on worker processes so a platform falling back to the
-    # in-process path cannot take the test runner down with it.
-    if os.getpid() != parent_pid:
-        os._exit(5)
-    return x
-
-
-def _raise_on_three(x):
-    if x == 3:
-        raise KeyError("task three is broken")
-    return x
-
-
-class TestRunTasks:
-    """run_tasks: the partitioned engine's in-step work distributor."""
-
-    def test_results_in_task_order_for_any_worker_count(self):
-        from repro.experiments.parallel import run_tasks
-
-        tasks = [(i, i + 1) for i in range(8)]
-        expected = [_mul(*t) for t in tasks]
-        for workers in (1, 2, 4):
-            assert run_tasks(_mul, tasks, workers=workers) == expected
-
-    def test_partitioned_simulation_invariant_to_worker_count(self):
-        # The real consumer: per-tile span scans of a partitioned run.
-        # Any partition_workers value must leave every byte of the
-        # trajectory unchanged — colors, slots, and all six metric
-        # columns.
-        import numpy as np
-
-        from repro.core import BernoulliColoringNode
-        from repro.core.protocol import run_coloring
-        from repro.graphs import random_udg
-
-        dep = random_udg(16, expected_degree=5, seed=2, connected=True)
-        runs = [
-            run_coloring(
-                dep,
-                seed=4,
-                node_cls=BernoulliColoringNode,
-                block=64,
-                partitions=4,
-                partition_workers=w,
-            )
-            for w in (1, 2, 4)
-        ]
-        base = runs[0]
-        assert base.completed and base.proper
-        for other in runs[1:]:
-            assert other.slots == base.slots
-            assert np.array_equal(other.colors, base.colors)
-            assert (
-                other.trace.channel_metrics.totals()
-                == base.trace.channel_metrics.totals()
-            )
-
-    def test_crashed_worker_raises_named_error(self):
-        from repro.experiments.parallel import WorkerCrashError, run_tasks
-
-        fn = partial(_exit_in_worker, os.getpid())
-        with pytest.raises(WorkerCrashError, match=r"task \d+ of 4"):
-            run_tasks(fn, [(i,) for i in range(4)], workers=2)
-        # The broken pool was evicted: the next call gets a fresh pool
-        # and succeeds.
-        assert run_tasks(_mul, [(2, 3), (4, 5)], workers=2) == [6, 20]
-
-    def test_fn_exception_propagates_unchanged(self):
-        from repro.experiments.parallel import run_tasks
-
-        for workers in (1, 2):
-            with pytest.raises(KeyError, match="task three"):
-                run_tasks(_raise_on_three, [(1,), (3,), (5,)], workers=workers)
-
-    def test_unpicklable_fn_runs_in_process(self):
-        from repro.experiments.parallel import run_tasks
-
-        assert run_tasks(lambda x: x + 1, [(1,), (2,)], workers=4) == [2, 3]
-
-    def test_bad_worker_count_rejected(self):
-        from repro.experiments.parallel import run_tasks
-
-        with pytest.raises(ValueError, match="workers"):
-            run_tasks(_mul, [(1, 2)], workers=-2)

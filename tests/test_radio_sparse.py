@@ -1,17 +1,15 @@
-"""Active-set sparse stepping and partitioned execution: byte identity.
+"""Active-set sparse stepping: byte identity.
 
 The sparse path (``build_simulator(..., sparse=True)``) walks only the
 awake-and-undecided columns of each slot, advancing the PCG64 stream
 across the skipped lattice positions so every consumed variate sits at
-exactly the offset the dense path would have read it from.  The
-partitioned path (``partitions=T``) resolves fire slots through per-tile
-CSR sub-blocks with speculative clone scans and a deterministic halo
-merge.  Both promise *byte-identical trajectories* to the dense blocked
-path: same colors, same slot counts, same six channel-metric columns
-slot-for-slot, same protocol-stream draw totals.
+exactly the offset the dense path would have read it from.  It promises
+a *byte-identical trajectory* to the dense blocked path: same colors,
+same slot counts, same six channel-metric columns slot-for-slot, same
+protocol-stream draw totals.
 
-The conformance SPARSE_MATRIX / PARTITION_MATRIX pin specific scenarios;
-the Hypothesis properties here walk random deployments, wake schedules
+The conformance SPARSE_MATRIX pins specific scenarios; the Hypothesis
+property here walks random deployments, wake schedules
 (including the all-asleep span where nobody wakes inside the horizon),
 loss rates, channel counts, block sizes, and stop granularities.
 """
@@ -40,9 +38,8 @@ def _world(n, degree, graph_seed, wake_seed, wake_window):
     return dep, params, wake
 
 
-def _run(dep, params, wake, *, seed, block, sparse=False, partitions=0,
-         partition_workers=1, loss_prob=0.0, channels=1, max_slots=400,
-         check_every=16, stop=False):
+def _run(dep, params, wake, *, seed, block, sparse=False, loss_prob=0.0,
+         channels=1, max_slots=400, check_every=16, stop=False):
     sim, nodes = build_simulator(
         dep,
         params,
@@ -53,8 +50,6 @@ def _run(dep, params, wake, *, seed, block, sparse=False, partitions=0,
         loss_prob=loss_prob,
         channels=channels,
         sparse=sparse,
-        partitions=partitions,
-        partition_workers=partition_workers,
     )
     stop_when = (lambda s: s.trace.decided >= dep.n) if stop else None
     res = sim.run(max_slots, stop_when=stop_when, check_every=check_every,
@@ -113,44 +108,6 @@ def test_sparse_equals_dense_blocked_property(
     )
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    n=st.integers(6, 14),
-    degree=st.floats(3.0, 7.0),
-    graph_seed=st.integers(0, 10**6),
-    wake_seed=st.integers(0, 10**6),
-    sim_seed=st.integers(0, 10**6),
-    wake_window=st.sampled_from([0, 40]),
-    block=st.sampled_from([4, 64, 1_000_000]),
-    loss_prob=st.sampled_from([0.0, 0.15]),
-    channels=st.sampled_from([1, 2]),
-    partitions=st.sampled_from([1, 4, 9]),
-    stop=st.booleans(),
-)
-def test_partitioned_equals_dense_blocked_property(
-    n, degree, graph_seed, wake_seed, sim_seed, wake_window, block,
-    loss_prob, channels, partitions, stop,
-):
-    """Random world: partitioned tiles + halo merge == dense blocked."""
-    dep, params, wake = _world(n, degree, graph_seed, wake_seed, wake_window)
-    kwargs = dict(seed=sim_seed, loss_prob=loss_prob, channels=channels,
-                  max_slots=350, check_every=4, stop=stop)
-    _assert_identical(
-        _run(dep, params, wake, block=block, **kwargs),
-        _run(dep, params, wake, block=block, partitions=partitions, **kwargs),
-    )
-
-
-def test_sparse_composes_with_partitions():
-    """sparse=True + partitions=T on one simulator still matches dense."""
-    dep, params, wake = _world(12, 5.0, 3, 4, 40)
-    kwargs = dict(seed=5, loss_prob=0.1, max_slots=600, check_every=1, stop=True)
-    _assert_identical(
-        _run(dep, params, wake, block=64, **kwargs),
-        _run(dep, params, wake, block=64, sparse=True, partitions=4, **kwargs),
-    )
-
-
 def test_sparse_all_asleep_span_is_byte_identical():
     """No node wakes inside the horizon: the whole run is one all-passive
     span on both paths — same per-slot empty metrics, same stream skip."""
@@ -197,27 +154,13 @@ def test_run_coloring_sparse_end_to_end():
     )
 
 
-def test_run_coloring_partitioned_end_to_end():
-    """run_coloring(partitions=4) reproduces the dense run to the end."""
-    dep = random_udg(24, expected_degree=6, seed=3, connected=True)
-    base = run_coloring(dep, seed=7, node_cls=BernoulliColoringNode, block=64)
-    parted = run_coloring(
-        dep, seed=7, node_cls=BernoulliColoringNode, block=64, partitions=4
-    )
-    assert parted.completed and parted.proper
-    assert np.array_equal(base.colors, parted.colors)
-    assert base.slots == parted.slots
-
-
 def test_sparse_requires_vectorized_path():
-    """sparse / partitions on an explicitly classic node class is a
-    clear error, not silent dense execution; with no node_cls the
-    protocol supplies its batched class and the sparse path engages."""
+    """sparse on an explicitly classic node class is a clear error, not
+    silent dense execution; with no node_cls the protocol supplies its
+    batched class and the sparse path engages."""
     dep = random_udg(8, expected_degree=4, seed=1)
     params = Parameters.practical(8, 4, 5, 18)
     with pytest.raises(ValueError, match="vectorized"):
         build_simulator(dep, params, seed=0, sparse=True, node_cls=ColoringNode)
-    with pytest.raises(ValueError, match="vectorized"):
-        build_simulator(dep, params, seed=0, partitions=4, node_cls=ColoringNode)
     sim, _ = build_simulator(dep, params, seed=0, sparse=True)
     assert sim.vectorized

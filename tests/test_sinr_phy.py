@@ -12,9 +12,8 @@ Four layers:
   random transmission set, raising the SINR threshold never turns a
   failed reception into a success — with ``threshold >= 1`` at most one
   signal per listener can ever clear the bar;
-- **registry + composition**: ``make_phy``/``phy_names`` plumbing, and
-  partitioned execution over the SINR PHY is byte-identical to the
-  unpartitioned run.
+- **registry + composition**: ``make_phy``/``phy_names`` plumbing, the
+  full protocol over the SINR PHY, and the channel-count conflict.
 """
 
 import numpy as np
@@ -210,21 +209,6 @@ class TestRegistryAndComposition:
         dep = random_udg(30, expected_degree=6.0, seed=17)
         res = run_coloring(dep, seed=17, phy="sinr")
         assert res.completed
-
-    def test_partitioned_sinr_matches_unpartitioned(self):
-        """Spatial partitioning only reroutes touch discovery; the SINR
-        judgement is global either way, so the partitioned run is
-        byte-identical to the dense run on the same (vectorized) path."""
-        from repro.core.vector_node import BernoulliColoringNode
-
-        dep = random_udg(40, expected_degree=7.0, seed=23)
-        base = run_coloring(
-            dep, seed=23, phy="sinr", node_cls=BernoulliColoringNode
-        )
-        tiled = run_coloring(dep, seed=23, phy="sinr", partitions=2)
-        assert np.array_equal(base.colors, tiled.colors)
-        assert np.array_equal(base.tcs, tiled.tcs)
-        assert base.slots == tiled.slots
 
     def test_channels_conflict_with_sinr_by_name(self):
         dep = random_udg(10, expected_degree=4.0, seed=1)
