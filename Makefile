@@ -8,8 +8,8 @@ install:
 test:
 	pytest tests/
 
-# Scale goldens deselected from tier-1 (the n = 10,000 sparse pin runs
-# ~70s); the nightly CI job runs exactly this.
+# Scale goldens deselected from tier-1 (the n = 10,000 blocked pin runs
+# ~35s); the nightly CI job runs exactly this.
 test-slow:
 	PYTHONPATH=src pytest tests/ -m slow
 
@@ -60,10 +60,9 @@ bench-smoke:
 
 # Regenerate the committed engine-path baseline (BENCH_engine.json at
 # the repo root): classic vs per-slot-vectorized vs block-stepped on
-# the sparse-deployment cold-start workload (n in {100, 400, 1600}) and
-# the active-set sparse cells (n in {1e4, 1e5} vs dense blocked plus
-# the sparse-only n=1e6 scale cell).  --repeats 5 keeps the vectorized-vs-classic
-# crossover pin stable against timer noise.
+# the sparse-deployment cold-start workload (n in {100, 400, 1600}).
+# --repeats 5 keeps the vectorized-vs-classic crossover pin stable
+# against timer noise.
 # Commit the refreshed JSON together with whatever engine change
 # motivated it; CI guards it via scripts/check_bench.py.
 bench-json:
@@ -72,8 +71,7 @@ bench-json:
 
 # Re-run the engine benchmark and compare against the committed
 # baseline (2x wall-clock tolerance; blocked-vs-per-slot speedup floor
-# on the n=1600 cell, vectorized <= classic at every pinned n, and the
-# >= 3x sparse-vs-blocked floor on the sparse cells).
+# on the n=1600 cell, and vectorized <= classic at every pinned n).
 bench-check:
 	PYTHONPATH=src python scripts/check_bench.py
 

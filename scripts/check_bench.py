@@ -10,13 +10,8 @@ baseline was generated from (:mod:`repro.experiments.engine_bench`):
    (default 1.5x) faster than the per-slot fast path — the floor
    dropped from the historical 3x when the per-slot crossover fix
    made the vectorized reference itself ~2x faster; and the per-slot
-   vectorized path is no slower than classic at every pinned n.
-   Sparse cells gate the active-set stepping path: every pinned
-   ``SPARSE_CELLS`` row must be present, dense-baseline cells must show
-   sparse at least ``--sparse-speedup-floor`` (default 3x) faster than
-   dense blocked, and the committed-only ``n = 1M`` scale cell must
-   record a completed run with nonzero transmissions.  This catches a
-   regenerated baseline that silently recorded a regression.  A
+   vectorized path is no slower than classic at every pinned n.  This
+   catches a regenerated baseline that silently recorded a regression.  A
    malformed or schema-mismatched baseline fails with a message naming
    the offending field, never a ``KeyError`` traceback.
 
@@ -31,9 +26,7 @@ baseline was generated from (:mod:`repro.experiments.engine_bench`):
    (default 1.25x) on the headline cell: relative speedups transfer
    across machines far better than absolute seconds, so this is the
    robust CI signal.  The vectorized-vs-classic crossover is re-checked
-   with ``--fresh-vectorized-slack`` (default 1.25x) noise headroom, and
-   sparse cells keep at least ``--fresh-sparse-speedup-floor`` (default
-   2x) over dense blocked.
+   with ``--fresh-vectorized-slack`` (default 1.25x) noise headroom.
 
 Exit status 0 iff every gate passes.  Run from the repo root:
 
@@ -53,15 +46,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.experiments.engine_bench import (  # noqa: E402
     CELLS,
     SCHEMA_VERSION,
-    SPARSE_CELLS,
     BenchCell,
-    SparseCell,
     run_bench,
 )
 
 HEADLINE_N = 1600
 _TIMED_KEYS = ("classic_s", "vectorized_s", "blocked_s")
-_SPARSE_TIMED_KEYS = ("blocked_s", "sparse_s")
 
 
 def _fail(msg: str) -> str:
@@ -94,11 +84,11 @@ def _field(row: dict, key: str, label: str):
     return value
 
 
-def _cell_from_row(cls, row: dict, label: str):
-    """Rebuild the cell dataclass from a baseline row, naming any field
-    that is missing or of the wrong type."""
+def _cell_from_row(row: dict, label: str) -> BenchCell:
+    """Rebuild the :class:`BenchCell` from a baseline row, naming any
+    field that is missing or of the wrong type."""
     kwargs = {}
-    for name, field_def in cls.__dataclass_fields__.items():
+    for name in BenchCell.__dataclass_fields__:
         if not isinstance(row, dict) or name not in row:
             raise BenchFormatError(
                 f"{label}: missing field {name!r} "
@@ -106,7 +96,7 @@ def _cell_from_row(cls, row: dict, label: str):
             )
         kwargs[name] = row[name]
     try:
-        return cls(**kwargs)
+        return BenchCell(**kwargs)
     except (TypeError, ValueError) as exc:
         raise BenchFormatError(f"{label}: malformed cell definition: {exc}") from exc
 
@@ -132,7 +122,6 @@ def check_committed(
     payload: dict,
     *,
     committed_speedup_floor: float,
-    sparse_speedup_floor: float,
 ) -> list[str]:
     """Structural and perf-contract gates on the committed baseline."""
     errors: list[str] = []
@@ -158,7 +147,7 @@ def check_committed(
             continue
         label = f"committed n={cell.n} cell"
         try:
-            committed_cell = _cell_from_row(BenchCell, row, label)
+            committed_cell = _cell_from_row(row, label)
             if committed_cell != cell:
                 errors.append(
                     _fail(
@@ -200,93 +189,7 @@ def check_committed(
                 )
         except BenchFormatError as exc:
             errors.append(_fail(str(exc)))
-    try:
-        by_sn = {
-            _field(row, "n", f"sparse_cells[{i}]"): row
-            for i, row in enumerate(
-                _rows(payload, "sparse_cells", "committed baseline")
-            )
-        }
-    except BenchFormatError as exc:
-        errors.append(_fail(str(exc)))
-        by_sn = {}
-    for scell in SPARSE_CELLS:
-        row = by_sn.get(scell.n)
-        if row is None:
-            errors.append(
-                _fail(
-                    f"committed baseline is missing the n={scell.n} sparse "
-                    "cell (regenerate with `make bench-json`)"
-                )
-            )
-            continue
-        label = f"committed n={scell.n} sparse cell"
-        try:
-            committed_scell = _cell_from_row(SparseCell, row, label)
-            if committed_scell != scell:
-                errors.append(
-                    _fail(
-                        f"sparse n={scell.n}: committed workload "
-                        f"{committed_scell} does not match the code's cell "
-                        f"definition {scell} (regenerate with `make bench-json`)"
-                    )
-                )
-                continue
-            # Every sparse cell — including the committed-only n = 1M
-            # scale proof — must have completed end to end with real
-            # protocol activity.
-            _field(row, "sparse_s", label)
-            if _field(row, "tx_total", label) <= 0:
-                errors.append(
-                    _fail(
-                        f"sparse n={scell.n}: committed run recorded no "
-                        "transmissions — the horizon never exercised the "
-                        "sparse path (re-tune the cell)"
-                    )
-                )
-            if scell.dense_baseline:
-                speedup = _field(row, "speedup_sparse_vs_blocked", label)
-                if speedup < sparse_speedup_floor:
-                    errors.append(
-                        _fail(
-                            f"committed sparse n={scell.n} sparse-vs-blocked "
-                            f"speedup {speedup:.2f}x < required "
-                            f"{sparse_speedup_floor:.1f}x"
-                        )
-                    )
-        except BenchFormatError as exc:
-            errors.append(_fail(str(exc)))
     return errors
-
-
-def _compare_timed(
-    kind: str,
-    ident,
-    keys: tuple[str, ...],
-    row: dict,
-    base: dict,
-    *,
-    tolerance: float,
-    errors: list[str],
-    warnings: list[str],
-) -> None:
-    """Tolerance-compare the timed columns of one fresh/committed row pair."""
-    for key in keys:
-        got = _field(row, key, f"fresh {kind}={ident} cell")
-        want = _field(base, key, f"committed {kind}={ident} cell")
-        if got > want * tolerance:
-            errors.append(
-                _fail(
-                    f"{kind}={ident} {key}: fresh {got:.3f}s is more than "
-                    f"{tolerance:.1f}x the committed {want:.3f}s"
-                )
-            )
-        elif got * tolerance < want:
-            warnings.append(
-                f"note: {kind}={ident} {key}: fresh {got:.3f}s is more than "
-                f"{tolerance:.1f}x faster than committed {want:.3f}s "
-                "(baseline looks stale; consider `make bench-json`)"
-            )
 
 
 def check_fresh(
@@ -296,26 +199,38 @@ def check_fresh(
     tolerance: float,
     fresh_speedup_floor: float,
     fresh_vectorized_slack: float,
-    fresh_sparse_speedup_floor: float,
 ) -> tuple[list[str], list[str]]:
     """Compare a fresh run against the committed baseline."""
     errors: list[str] = []
     warnings: list[str] = []
     committed_by_n = {row["n"]: row for row in committed.get("cells", ())}
     for row in fresh["cells"]:
-        base = committed_by_n.get(row["n"])
+        n = row["n"]
+        base = committed_by_n.get(n)
         if base is None:
             continue
-        _compare_timed(
-            "n", row["n"], _TIMED_KEYS, row, base,
-            tolerance=tolerance, errors=errors, warnings=warnings,
-        )
+        for key in _TIMED_KEYS:
+            got = _field(row, key, f"fresh n={n} cell")
+            want = _field(base, key, f"committed n={n} cell")
+            if got > want * tolerance:
+                errors.append(
+                    _fail(
+                        f"n={n} {key}: fresh {got:.3f}s is more than "
+                        f"{tolerance:.1f}x the committed {want:.3f}s"
+                    )
+                )
+            elif got * tolerance < want:
+                warnings.append(
+                    f"note: n={n} {key}: fresh {got:.3f}s is more than "
+                    f"{tolerance:.1f}x faster than committed {want:.3f}s "
+                    "(baseline looks stale; consider `make bench-json`)"
+                )
         # Relative vectorized-vs-classic crossover, with slack for
         # single-run noise on a shared CI machine.
         if row["vectorized_s"] > row["classic_s"] * fresh_vectorized_slack:
             errors.append(
                 _fail(
-                    f"n={row['n']}: fresh vectorized path "
+                    f"n={n}: fresh vectorized path "
                     f"{row['vectorized_s']:.3f}s is more than "
                     f"{fresh_vectorized_slack:.2f}x the classic "
                     f"{row['classic_s']:.3f}s (per-slot fast path regressed)"
@@ -331,27 +246,6 @@ def check_fresh(
                 _fail(
                     f"fresh n={HEADLINE_N} blocked-vs-per-slot speedup "
                     f"{speedup:.2f}x < required {fresh_speedup_floor:.1f}x"
-                )
-            )
-    committed_by_sn = {
-        row["n"]: row for row in committed.get("sparse_cells", ())
-    }
-    for row in fresh.get("sparse_cells", ()):
-        if not row.get("dense_baseline", True):
-            continue  # the n = 1M scale proof is committed-only
-        base = committed_by_sn.get(row["n"])
-        if base is not None:
-            _compare_timed(
-                "sparse n", row["n"], _SPARSE_TIMED_KEYS, row, base,
-                tolerance=tolerance, errors=errors, warnings=warnings,
-            )
-        speedup = row["speedup_sparse_vs_blocked"]
-        if speedup < fresh_sparse_speedup_floor:
-            errors.append(
-                _fail(
-                    f"fresh sparse n={row['n']} sparse-vs-blocked speedup "
-                    f"{speedup:.2f}x < required "
-                    f"{fresh_sparse_speedup_floor:.1f}x"
                 )
             )
     return errors, warnings
@@ -373,8 +267,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--committed-speedup-floor", type=float, default=1.5)
     parser.add_argument("--fresh-speedup-floor", type=float, default=1.25)
     parser.add_argument("--fresh-vectorized-slack", type=float, default=1.25)
-    parser.add_argument("--sparse-speedup-floor", type=float, default=3.0)
-    parser.add_argument("--fresh-sparse-speedup-floor", type=float, default=2.0)
     parser.add_argument(
         "--skip-run",
         action="store_true",
@@ -387,18 +279,10 @@ def main(argv: list[str] | None = None) -> int:
     errors = check_committed(
         committed,
         committed_speedup_floor=args.committed_speedup_floor,
-        sparse_speedup_floor=args.sparse_speedup_floor,
     )
     warnings: list[str] = []
     if not args.skip_run and not errors:
-        # The fresh run skips the sparse-only scale cells (n = 1M): they
-        # measure deployment construction, not engine stepping, and the
-        # committed row already proves the end-to-end run.
-        fresh = run_bench(
-            sparse_cells=tuple(c for c in SPARSE_CELLS if c.dense_baseline),
-            repeats=2,
-            verbose=True,
-        )
+        fresh = run_bench(repeats=2, verbose=True)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(fresh, fh, indent=2)
@@ -409,7 +293,6 @@ def main(argv: list[str] | None = None) -> int:
             tolerance=args.tolerance,
             fresh_speedup_floor=args.fresh_speedup_floor,
             fresh_vectorized_slack=args.fresh_vectorized_slack,
-            fresh_sparse_speedup_floor=args.fresh_sparse_speedup_floor,
         )
         errors.extend(run_errors)
     for line in warnings:

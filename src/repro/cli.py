@@ -126,13 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--block", type=int, default=1, metavar="B",
         help="block-stepped execution: advance up to B slots per engine "
         "chunk (B > 1 selects the batched node class so the vectorized "
-        "fast path engages; results are identical at any B)",
-    )
-    color.add_argument(
-        "--sparse", action="store_true",
-        help="active-set sparse stepping: per-slot tensor work is "
-        "restricted to awake-and-undecided nodes (byte-identical "
-        "results; pays off when most nodes are asleep or decided)",
+        "fast path engages; results are identical at any B > 1, while "
+        "B = 1 runs the classic node, a different fixed-seed trajectory)",
     )
     color.add_argument(
         "--metrics", action="store_true",
@@ -242,12 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "stepping instead of the classic-vs-vectorized comparison "
         "(0 = off)",
     )
-    conform.add_argument(
-        "--sparse", action="store_true",
-        help="with --family: put the blocked side of the comparison on "
-        "the sparse stepping path; without: run the pinned SPARSE_MATRIX "
-        "instead of the full matrix",
-    )
 
     staticcheck = sub.add_parser(
         "staticcheck",
@@ -316,15 +305,12 @@ def _cmd_color(args) -> int:
         print("--block must be >= 1", file=sys.stderr)
         return 2
     run_kwargs = {}
-    if args.block > 1 or args.sparse:
+    if args.block > 1:
         from repro.core.vector_node import BernoulliColoringNode
 
         # Block-stepping pays off on the vectorized fast path, which
         # needs the batched node interface; same protocol, same paper.
-        # Sparse stepping requires that path outright.
         run_kwargs = {"block": args.block, "node_cls": BernoulliColoringNode}
-    if args.sparse:
-        run_kwargs["sparse"] = True
     scale_kwargs = {}
     if args.channels > 1 and args.regime == "practical":
         # Hopping thins the meeting rate by 1/k; scale the constants
@@ -392,7 +378,6 @@ def _cmd_conform(args) -> int:
         quick_matrix,
         run_matrix,
         run_scenario,
-        sparse_matrix,
     )
 
     broken = OffByOneCounterNode if args.inject_bug else None
@@ -410,7 +395,6 @@ def _cmd_conform(args) -> int:
             phy=args.phy,
             channels=args.channels,
             block=args.block,
-            sparse=args.sparse,
             protocol=args.protocol,
         )
         reports = [
@@ -419,14 +403,9 @@ def _cmd_conform(args) -> int:
             )
         ]
     else:
-        if args.sparse or args.arena:
-            # Focused pinned matrices for the sparse / arena paths (the
-            # flags compose into the concatenation).
-            matrix = ()
-            if args.sparse:
-                matrix = matrix + sparse_matrix()
-            if args.arena:
-                matrix = matrix + arena_matrix()
+        if args.arena:
+            # The focused pinned matrix for the protocol x PHY arena.
+            matrix = arena_matrix()
         elif args.quick:
             matrix = quick_matrix()
         elif broken is not None:
@@ -438,7 +417,6 @@ def _cmd_conform(args) -> int:
                 SCENARIO_MATRIX
                 + phy_matrix()
                 + block_matrix()
-                + sparse_matrix()
                 + arena_matrix()
             )
         if broken is not None:

@@ -41,14 +41,12 @@ from repro.conform.scenarios import (
     PHYS,
     SCENARIO_MATRIX,
     SCHEDULES,
-    SPARSE_MATRIX,
     Scenario,
     arena_matrix,
     block_matrix,
     phy_matrix,
     quick_matrix,
     random_scenarios,
-    sparse_matrix,
 )
 
 __all__ = [
@@ -59,7 +57,6 @@ __all__ = [
     "PHY_MATRIX",
     "SCENARIO_MATRIX",
     "SCHEDULES",
-    "SPARSE_MATRIX",
     "ConformanceReport",
     "Divergence",
     "FuzzResult",
@@ -83,5 +80,4 @@ __all__ = [
     "run_matrix",
     "run_scenario",
     "run_unaligned_lockstep",
-    "sparse_matrix",
 ]

@@ -355,7 +355,6 @@ def run_block_lockstep(
     node_cls: type = BernoulliColoringNode,
     scenario: Scenario | None = None,
     phy_factory: Callable[[], PhyModel] | None = None,
-    sparse: bool = False,
     protocol: ColoringProtocol | str | None = None,
 ) -> ConformanceReport:
     """Lockstep the vectorized per-slot path against its block-stepped mode.
@@ -377,11 +376,8 @@ def run_block_lockstep(
     are compared chunk-by-chunk and any mismatch is localized to its
     exact slot.
 
-    ``sparse`` moves the *blocked* side onto the engine's active-set
-    sparse stepping while the per-slot side stays dense — so the
-    byte-identity claim extends to that route wholesale, draw counters
-    included.  ``protocol`` generalizes the completion condition exactly
-    as in :func:`run_lockstep`.
+    ``protocol`` generalizes the completion condition exactly as in
+    :func:`run_lockstep`.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
@@ -396,7 +392,7 @@ def run_block_lockstep(
     nodes_a = [node_cls(v, params, trace_a) for v in range(n)]
     nodes_b = [node_cls(v, params, trace_b) for v in range(n)]
 
-    def build(nodes, trace, sparse_side: bool) -> RadioSimulator:
+    def build(nodes, trace) -> RadioSimulator:
         return RadioSimulator(
             dep,
             nodes,
@@ -406,11 +402,10 @@ def run_block_lockstep(
             loss_prob=loss_prob,
             vectorized=True,
             phy=phy_factory() if phy_factory is not None else None,
-            sparse=sparse_side,
         )
 
-    sim_a = build(nodes_a, trace_a, False)
-    sim_b = build(nodes_b, trace_b, sparse)
+    sim_a = build(nodes_a, trace_a)
+    sim_b = build(nodes_b, trace_b)
     if max_slots is None:
         wake_max = int(wake_slots.max()) if n else 0
         max_slots = suggested_max_slots(params, wake_max)

@@ -48,9 +48,7 @@ def run_scenario(
     completion condition generalizes through it).  With
     ``scenario.block > 0`` the comparison is instead the vectorized
     path's per-slot stepping against its block-stepped mode
-    (:func:`~repro.conform.lockstep.run_block_lockstep`), with
-    ``scenario.sparse`` moving the blocked side onto the engine's sparse
-    stepping route.
+    (:func:`~repro.conform.lockstep.run_block_lockstep`).
     """
     dep, params, wake_slots = scenario.build()
     if scenario.phy == "unaligned":
@@ -88,7 +86,6 @@ def run_scenario(
             max_slots=max_slots,
             scenario=scenario,
             phy_factory=phy_factory,
-            sparse=scenario.sparse,
             protocol=scenario.protocol,
         )
     return run_lockstep(

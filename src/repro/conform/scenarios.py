@@ -38,14 +38,12 @@ __all__ = [
     "PHY_MATRIX",
     "SCENARIO_MATRIX",
     "SCHEDULES",
-    "SPARSE_MATRIX",
     "Scenario",
     "arena_matrix",
     "block_matrix",
     "phy_matrix",
     "quick_matrix",
     "random_scenarios",
-    "sparse_matrix",
 ]
 
 #: graph families the conformance matrix covers (UDG, torus, UBG over a
@@ -83,15 +81,10 @@ class Scenario:
     #: block size for the block-vs-per-slot lockstep (0 = classic-vs-
     #: vectorized lockstep, the default comparison).
     block: int = 0
-    #: active-set sparse stepping on the blocked side of a block-lockstep
-    #: cell (requires ``block >= 1``): the dense per-slot run is compared
-    #: against the sparse scattered-draw run, all six metric columns
-    #: included.  ``block=1`` exercises the per-slot sparse path.
-    sparse: bool = False
     #: node-logic strategy (a :mod:`repro.core.strategy` registry name);
     #: ``mw05`` is the paper's protocol, and the lockstep comparisons —
-    #: classic vs vectorized, block, sparse — all generalize over it
-    #: through the protocol's completion predicate.
+    #: classic vs vectorized, block — all generalize over it through the
+    #: protocol's completion predicate.
     protocol: str = "mw05"
 
     def __post_init__(self) -> None:
@@ -116,11 +109,6 @@ class Scenario:
                 "block lockstep compares the vectorized engine's two "
                 "stepping modes; the unaligned simulator has no "
                 "vectorized path (pick one of block / phy='unaligned')"
-            )
-        if self.sparse and not self.block:
-            raise ValueError(
-                "sparse cells lockstep the dense per-slot path against "
-                "sparse stepping via the block lockstep; set block >= 1"
             )
         if self.protocol not in protocol_names():
             raise ValueError(
@@ -188,8 +176,6 @@ class Scenario:
             base += f" k={self.channels}"
         if self.block:
             base += f" block={self.block}"
-        if self.sparse:
-            base += " sparse"
         if self.protocol != "mw05":
             base += f" protocol={self.protocol}"
         return base
@@ -207,8 +193,6 @@ class Scenario:
             base += f" --channels {self.channels}"
         if self.block:
             base += f" --block {self.block}"
-        if self.sparse:
-            base += " --sparse"
         if self.protocol != "mw05":
             base += f" --protocol {self.protocol}"
         return base
@@ -316,46 +300,6 @@ def block_matrix() -> tuple[Scenario, ...]:
     return BLOCK_MATRIX
 
 
-def _sparse_matrix() -> tuple[Scenario, ...]:
-    """Pinned dense-vs-sparse lockstep cells.
-
-    These assert that active-set sparse stepping (``sparse=True``) is
-    **byte-identical** to the dense engine — the scattered scalar walk
-    reads the same PCG64 lattice positions the dense ``random(n)`` rows
-    occupy, so colors, stop slots, every level-2 trace event, and all
-    six channel-metric columns (draw counters included) must match to
-    the draw.  Cells cover: the blocked sparse span walker across wake
-    schedules (staggered/random produce the long low-activity spans
-    sparse stepping exists for), loss injection (the loss child must be
-    consumed identically), multi-channel hopping (lazy hop draws stay
-    lazy), and ``block=1`` — the *per-slot* sparse path in
-    ``_collect_vectorized``, which block cells never reach.
-    """
-    return (
-        Scenario(family="udg", n=20, degree=5.0, schedule="sync",
-                 seed=7000, block=64, sparse=True),
-        Scenario(family="udg", n=22, degree=6.0, schedule="random",
-                 loss_prob=0.1, seed=7001, block=7, sparse=True),
-        Scenario(family="torus", n=20, degree=6.0, schedule="staggered",
-                 seed=7010, block=256, sparse=True),
-        Scenario(family="quasi_udg", n=18, degree=5.0, schedule="random",
-                 loss_prob=0.2, seed=7012, block=1, sparse=True),
-        Scenario(family="udg", n=18, degree=5.0, schedule="sync",
-                 seed=7100, phy="multichannel", channels=2,
-                 param_scale=2.0, block=32, sparse=True),
-    )
-
-
-#: the pinned sparse-stepping matrix (collision / lossy / multichannel /
-#: per-slot cells).
-SPARSE_MATRIX: tuple[Scenario, ...] = _sparse_matrix()
-
-
-def sparse_matrix() -> tuple[Scenario, ...]:
-    """The pinned dense-vs-sparse scenarios (see :data:`SPARSE_MATRIX`)."""
-    return SPARSE_MATRIX
-
-
 def _arena_matrix() -> tuple[Scenario, ...]:
     """Pinned protocol x PHY arena cells.
 
@@ -426,19 +370,6 @@ def quick_matrix() -> tuple[Scenario, ...]:
             loss_prob=0.1,
             seed=504,
             block=32,
-        )
-    )
-    # One sparse cell guards the engine's sparse route in the smoke
-    # subset (full coverage lives in SPARSE_MATRIX).
-    out.append(
-        Scenario(
-            family="udg",
-            n=16,
-            degree=5.0,
-            schedule="staggered",
-            seed=505,
-            block=64,
-            sparse=True,
         )
     )
     # One SINR-PHY and one mis-protocol cell so `repro conform` smokes

@@ -112,17 +112,13 @@ def build_simulator(
     unaligned: bool = False,
     offsets: np.ndarray | None = None,
     channels: int = 1,
-    sparse: bool = False,
     protocol: ColoringProtocol | str | None = None,
     phy: PhyModel | str | None = None,
 ) -> tuple[RadioSimulator, list[ColoringNode]]:
     """Construct (but do not run) a simulator wired with protocol nodes.
 
     Exposed separately so tests and experiments can step manually or
-    inject observers between slots.  ``sparse`` enables active-set
-    sparse stepping, which requires the vectorized fast path (a batched
-    ``node_cls``) and is byte-identical to the dense engine — see
-    DESIGN.md §5.12.
+    inject observers between slots.
 
     ``protocol`` selects the node-logic strategy (a
     :class:`~repro.core.strategy.ColoringProtocol`, a registry name, or
@@ -133,10 +129,7 @@ def build_simulator(
     """
     proto = resolve_protocol(protocol)
     if node_cls is None:
-        # Sparse stepping only runs on the vectorized fast path, so the
-        # protocol's batched node class is the only sensible default
-        # there.
-        node_cls = proto.node_cls(vectorized=sparse)
+        node_cls = proto.node_cls()
     trace = TraceRecorder(dep.n, level=trace_level)
     if per_node_params is not None and len(per_node_params) != dep.n:
         raise ValueError("per_node_params must have one entry per node")
@@ -164,10 +157,6 @@ def build_simulator(
             raise ValueError(
                 "multi-channel resolution is not implemented on the "
                 "unaligned engine (pick one of unaligned / channels)"
-            )
-        if sparse:
-            raise ValueError(
-                "sparse execution is not implemented on the unaligned engine"
             )
         if phy is not None:
             raise ValueError(
@@ -203,7 +192,6 @@ def build_simulator(
             max_message_bits=max_bits,
             loss_prob=loss_prob,
             phy=phy_model,
-            sparse=sparse,
         )
     return sim, nodes
 
@@ -224,7 +212,6 @@ def run_coloring(
     offsets: np.ndarray | None = None,
     channels: int = 1,
     block: int = 1,
-    sparse: bool = False,
     protocol: ColoringProtocol | str | None = None,
     phy: PhyModel | str | None = None,
 ) -> ColoringResult:
@@ -273,12 +260,6 @@ def run_coloring(
         per-slot Python cost only at slots where something happens.  The
         result is identical at any block size; the completion stop is
         still localized to the exact slot.
-    sparse:
-        Active-set sparse stepping (see
-        :class:`~repro.radio.engine.RadioSimulator`): per-slot work
-        scales with the number of nodes that can transmit instead of
-        ``n``.  Byte-identical to the dense run; requires a batched
-        ``node_cls``.
     protocol:
         Node-logic strategy (a
         :class:`~repro.core.strategy.ColoringProtocol` instance, a
@@ -308,7 +289,6 @@ def run_coloring(
         unaligned=unaligned,
         offsets=offsets,
         channels=channels,
-        sparse=sparse,
         protocol=proto,
         phy=phy,
     )

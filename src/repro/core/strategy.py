@@ -32,7 +32,7 @@ ship today:
   the run stops as soon as every node is *covered* (entered ``C_0`` or
   learned its leader), and finalization keeps only the elected set.
 
-Determinism contract (DESIGN.md §5.13): a protocol owns *policy*, never
+Determinism contract (DESIGN.md §5.12): a protocol owns *policy*, never
 *randomness* — node behaviors draw from the engine's metered protocol
 stream exactly as before, the completion predicate and finalization
 must be pure functions of node/trace state, and the default ``mw05``
@@ -155,8 +155,8 @@ class MisProtocol(ColoringProtocol):
     The standalone primitive :func:`repro.core.mis.run_mis` (which also
     reports per-node cover slots) remains the fine-grained API; this
     class is the same semantics plugged into the shared orchestration,
-    so MIS runs on every engine path — per-slot, blocked, sparse — and
-    over every PHY.
+    so MIS runs on every engine path — per-slot and blocked — and over
+    every PHY.
     """
 
     name = "mis"

@@ -10,13 +10,30 @@ path works on plain ``numpy`` arrays.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 import networkx as nx
 import numpy as np
 
-__all__ = ["Deployment"]
+__all__ = ["Deployment", "csr_arrays"]
+
+
+def csr_arrays(lists: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten per-node index lists into CSR-style ``(indptr, indices)``
+    arrays: row ``v``'s entries are ``indices[indptr[v]:indptr[v+1]]``.
+
+    The one source of truth for list-of-arrays -> CSR construction:
+    :attr:`Deployment.csr` applies it to a deployment's neighbor arrays,
+    and :mod:`repro.radio.batch` to its two-hop adjacency."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    if n:
+        indptr[1:] = np.cumsum([len(a) for a in lists])
+    indices = (
+        np.concatenate(lists) if n and indptr[-1] else np.empty(0, dtype=np.int64)
+    )
+    return indptr, indices.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -123,17 +140,7 @@ class Deployment:
         arrays are read-only for all consumers.
         """
         if self._csr is None:
-            n = self.n
-            nbrs = self.neighbors
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            if n:
-                indptr[1:] = np.cumsum([len(a) for a in nbrs])
-            indices = (
-                np.concatenate(nbrs)
-                if n and indptr[-1]
-                else np.empty(0, dtype=np.int64)
-            )
-            self._csr = indptr, indices.astype(np.int64, copy=False)
+            self._csr = csr_arrays(self.neighbors, self.n)
         return self._csr
 
     def closed_neighborhood(self, v: int) -> np.ndarray:

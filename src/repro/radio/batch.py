@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.graphs.deployment import Deployment
-from repro.radio.channel import csr_arrays
+from repro.graphs.deployment import Deployment, csr_arrays
 from repro._util import spawn_generator
 
 __all__ = [
@@ -46,7 +45,7 @@ __all__ = [
 
 def _csr_from_lists(lists: Sequence[np.ndarray], n: int) -> sparse.csr_matrix:
     """0/1 CSR matrix whose row ``v`` marks ``lists[v]`` — built directly
-    from the engine's shared CSR arrays (:func:`~repro.radio.channel.
+    from the shared CSR arrays (:func:`~repro.graphs.deployment.
     csr_arrays`), one source of truth for adjacency layout and no Python
     double-loop over edges."""
     indptr, indices = csr_arrays(lists, n)

@@ -79,26 +79,9 @@ __all__ = [
     "SinrPhy",
     "SlotSteppedSimulator",
     "build_csr",
-    "csr_arrays",
     "make_phy",
     "phy_names",
 ]
-
-
-def csr_arrays(lists: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten per-node index lists into CSR-style ``(indptr, indices)``
-    arrays: row ``v``'s entries are ``indices[indptr[v]:indptr[v+1]]``.
-
-    The one source of truth for list-of-arrays -> CSR construction:
-    :func:`build_csr` applies it to a deployment's neighbor arrays, and
-    :mod:`repro.radio.batch` to its one- and two-hop adjacency."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    if n:
-        indptr[1:] = np.cumsum([len(a) for a in lists])
-    indices = (
-        np.concatenate(lists) if n and indptr[-1] else np.empty(0, dtype=np.int64)
-    )
-    return indptr, indices.astype(np.int64, copy=False)
 
 
 def build_csr(dep: Deployment) -> tuple[np.ndarray, np.ndarray]:
@@ -489,8 +472,7 @@ class SinrPhy(PhyModel):
     The model consumes **no randomness** — geometry and the slot's
     transmission set decide everything — so every clause of the module
     determinism contract holds trivially, and composing ``loss_prob``
-    or block/sparse execution changes nothing about which signals
-    decode.
+    or block execution changes nothing about which signals decode.
     """
 
     name = "sinr"

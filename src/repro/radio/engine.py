@@ -138,16 +138,6 @@ class RadioSimulator(SlotSteppedSimulator):
         Channel model resolving each slot's transmission set
         (:class:`~repro.radio.channel.PhyModel`); defaults to the paper's
         single-channel :class:`~repro.radio.channel.CollisionPhy`.
-    sparse:
-        Active-set sparse stepping (vectorized path only): instead of an
-        ``n``-wide uniform draw per slot, walk only the active columns
-        (``p > 0``) with scalar draws and ``advance`` over the gaps —
-        byte-identical to the dense stream by PCG64's counter semantics
-        (``random(n)`` consumes one 64-bit output per double, so the
-        lattice position of every (slot, node) variate is fixed).  Pays
-        off when the active set is much smaller than ``n`` (cold-start
-        windows, endgame tails); on dense activity the scalar walk is
-        slower than one bulk draw.  See docs/model.md for guidance.
     """
 
     def __init__(
@@ -161,7 +151,6 @@ class RadioSimulator(SlotSteppedSimulator):
         loss_prob: float = 0.0,
         vectorized: bool | None = None,
         phy: PhyModel | None = None,
-        sparse: bool = False,
     ) -> None:
         n = deployment.n
         if len(nodes) != n:
@@ -221,12 +210,6 @@ class RadioSimulator(SlotSteppedSimulator):
             )
         else:
             self.vectorized = bool(vectorized)
-        if sparse and not self.vectorized:
-            raise ValueError(
-                "sparse stepping requires the vectorized fast path (every "
-                "node must implement the batched interface)"
-            )
-        self.sparse = bool(sparse)
         if self.vectorized:
             self._p = np.zeros(n, dtype=np.float64)
             self._evt = np.full(n, _FAR, dtype=np.int64)
@@ -249,11 +232,6 @@ class RadioSimulator(SlotSteppedSimulator):
             self._pa = np.empty(0, dtype=np.float64)
             self._active_gen = -1
             self._draw_buf: np.ndarray | None = None  # step_block segment buffer
-            # Sparse-walk cache, keyed on the state generation like the
-            # fire-candidate cache: the active columns as plain Python
-            # (node, probability) pairs for the scattered walk.
-            self._scatter_cols: list[tuple[int, float]] = []
-            self._scatter_gen = -1
             # Hot-path bound methods (the generator, bit generator, and
             # metrics object are fixed for the simulator's lifetime):
             # saves two attribute chains per slot on the per-slot path.
@@ -286,37 +264,6 @@ class RadioSimulator(SlotSteppedSimulator):
     def _on_deliver(self, u: int, msg: Message) -> None:
         """Core delivery hook: a delivery can change a node's state."""
         self._refresh(int(u))
-
-    def _scatter_fire(self) -> list[int]:
-        """One slot's transmit decisions via the scattered walk.
-
-        Visits the active columns in ascending node order: ``advance``
-        over the gap to each column's lattice position, one scalar
-        ``random()`` there, then a tail ``advance`` to the end of the
-        row.  Consumes exactly ``n`` stream positions and reads the
-        *same* uniform at every active column as the dense ``random(n)``
-        row would — byte-identity is structural, not statistical.  Not
-        metered (callers account the slot's ``n`` draws, matching the
-        dense paths)."""
-        if self._scatter_gen != self._gen:
-            self._scatter_cols = list(
-                zip(self._active.tolist(), self._pa.tolist())
-            )
-            self._scatter_gen = self._gen
-        rand = self._rand
-        advance = self._advance
-        pos = 0
-        fire: list[int] = []
-        for a, pa in self._scatter_cols:
-            if a > pos:
-                advance(a - pos)
-            if rand() < pa:
-                fire.append(a)
-            pos = a + 1
-        n = len(self.nodes)
-        if pos < n:
-            advance(n - pos)
-        return fire
 
     def _wake_due(self, t: int) -> None:
         """Phase 1: wake nodes whose wake slot is ``t``."""
@@ -392,8 +339,6 @@ class RadioSimulator(SlotSteppedSimulator):
             # meter accounting already applied above).
             self._advance(n)
             return []
-        if self.sparse:
-            return self._scatter_fire()
         # Metered draw, with the proxy's dispatch inlined (this is the
         # hottest line of the per-slot path): identical stream, identical
         # draw accounting.
@@ -568,11 +513,6 @@ class RadioSimulator(SlotSteppedSimulator):
                     trace.channel_empty(t, m, n)
                     t = bound
                     continue
-                if self.sparse:
-                    t, stopped = self._sparse_span(t, bound, stop_when, check_every)
-                    if stopped:
-                        return True
-                    continue
                 m = min(m, _DRAW_CHUNK)
                 buf = self._draw_buf
                 if buf is None:
@@ -630,72 +570,3 @@ class RadioSimulator(SlotSteppedSimulator):
                 return True
         self.slot = end
         return False
-
-    # -- sparse span execution ----------------------------------------------
-    def _sparse_span(
-        self,
-        t: int,
-        bound: int,
-        stop_when: Callable[[SlotSteppedSimulator], bool] | None,
-        check_every: int,
-    ) -> tuple[int, bool]:
-        """Walk the constant-state span ``[t, bound)`` with scattered
-        draws; returns ``(next_slot, stopped)``.
-
-        Per slot this consumes exactly ``n`` stream positions (gap
-        advances + scalar draws + tail advance), so the generator tracks
-        the dense path position-for-position — including across early
-        stops, where the dense segment draw over-advances but this path
-        does not (both are within contract: generator position after a
-        stop is unobservable, see :meth:`step_block`).  Empty runs are
-        flushed as one bulk metrics append; the stop predicate is
-        state-only and the state is frozen between fires, so its value is
-        evaluated once per run and cached.  Returns to :meth:`step_block`
-        after any fire that changed the state generation so the span
-        bound and candidate caches are rebuilt.
-        """
-        n = len(self.nodes)
-        rng = self.rng
-        trace = self.trace
-        check = stop_when is not None and self.all_woken
-        run_start = t
-        stop_val: bool | None = None
-        while t < bound:
-            rng.calls += 1
-            rng.draws += n
-            fire = self._scatter_fire()
-            if not fire:
-                t += 1
-                if check and t % check_every == 0:
-                    if stop_val is None:
-                        self.slot = t
-                        assert stop_when is not None
-                        stop_val = bool(stop_when(self))
-                    if stop_val:
-                        trace.channel_empty(run_start, t - run_start, n)
-                        self.slot = t
-                        return t, True
-                continue
-            if t > run_start:
-                trace.channel_empty(run_start, t - run_start, n)
-            self.slot = t
-            self._fire(t, fire)
-            t += 1
-            self.slot = t
-            if (
-                stop_when is not None
-                and self.all_woken
-                and t % check_every == 0
-                and stop_when(self)
-            ):
-                return t, True
-            if self._active_gen != self._gen:
-                # Deliveries moved the state: the span bound and the
-                # fire-candidate caches are stale — rebuild upstream.
-                return t, False
-            run_start = t
-            stop_val = None
-        if t > run_start:
-            trace.channel_empty(run_start, t - run_start, n)
-        self.slot = t
-        return t, False

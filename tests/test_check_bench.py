@@ -5,8 +5,8 @@ schema-mismatched baseline — hand-edited, truncated by a bad merge, or
 generated by an older schema — must fail CI with a message naming the
 offending field, not die with a ``KeyError`` traceback that points at
 the checker instead of the baseline.  These tests drive the committed-
-baseline gates on synthetic payloads covering the happy path, every
-malformation class, and the sparse-cell perf gates.
+baseline gates on synthetic payloads covering the happy path and every
+malformation class.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import importlib.util
 import pathlib
 import sys
-
-import pytest
 
 _SCRIPT = (
     pathlib.Path(__file__).resolve().parent.parent / "scripts" / "check_bench.py"
@@ -26,11 +24,7 @@ check_bench = importlib.util.module_from_spec(_spec)
 sys.modules.setdefault("check_bench", check_bench)
 _spec.loader.exec_module(check_bench)
 
-from repro.experiments.engine_bench import (  # noqa: E402
-    CELLS,
-    SCHEMA_VERSION,
-    SPARSE_CELLS,
-)
+from repro.experiments.engine_bench import CELLS, SCHEMA_VERSION  # noqa: E402
 from dataclasses import asdict  # noqa: E402
 
 
@@ -51,26 +45,11 @@ def _good_payload() -> dict:
             speedup_blocked_vs_classic=10.0,
         )
         cells.append(row)
-    sparse_cells = []
-    for scell in SPARSE_CELLS:
-        row = dict(asdict(scell))
-        row.update(sparse_s=0.1, sparse_slots_per_s=1.0, tx_total=50)
-        if scell.dense_baseline:
-            row.update(blocked_s=1.0, speedup_sparse_vs_blocked=10.0)
-        sparse_cells.append(row)
-    return {
-        "schema": SCHEMA_VERSION,
-        "cells": cells,
-        "sparse_cells": sparse_cells,
-    }
+    return {"schema": SCHEMA_VERSION, "cells": cells}
 
 
 def _check(payload: dict) -> list[str]:
-    return check_bench.check_committed(
-        payload,
-        committed_speedup_floor=1.5,
-        sparse_speedup_floor=3.0,
-    )
+    return check_bench.check_committed(payload, committed_speedup_floor=1.5)
 
 
 def test_valid_baseline_passes():
@@ -110,45 +89,22 @@ def test_wrong_typed_field_names_the_field_and_value():
 
 def test_non_object_row_is_a_named_failure():
     payload = _good_payload()
-    payload["sparse_cells"][0] = "oops"
+    payload["cells"][0] = "oops"
     errors = _check(payload)
-    assert any("sparse_cells[0]" in e for e in errors), errors
+    assert any("cells[0]" in e for e in errors), errors
 
 
 def test_rows_field_of_wrong_type_is_a_named_failure():
     payload = _good_payload()
-    payload["sparse_cells"] = {"n": 10_000}
+    payload["cells"] = {"n": 1600}
     errors = _check(payload)
-    assert any("'sparse_cells'" in e for e in errors), errors
-
-
-def test_missing_sparse_cell_fails():
-    payload = _good_payload()
-    payload["sparse_cells"] = payload["sparse_cells"][:-1]
-    errors = _check(payload)
-    missing_n = SPARSE_CELLS[-1].n
-    assert any(f"n={missing_n}" in e and "sparse" in e for e in errors), errors
-
-
-def test_sparse_speedup_below_floor_fails():
-    payload = _good_payload()
-    payload["sparse_cells"][0]["speedup_sparse_vs_blocked"] = 2.5
-    errors = _check(payload)
-    assert any("sparse-vs-blocked" in e and "2.50x" in e for e in errors), errors
-
-
-def test_sparse_cell_with_zero_tx_fails():
-    """The committed-only 1M scale proof must show real activity."""
-    payload = _good_payload()
-    payload["sparse_cells"][-1]["tx_total"] = 0
-    errors = _check(payload)
-    assert any("no" in e and "transmissions" in e for e in errors), errors
+    assert any("'cells'" in e for e in errors), errors
 
 
 def test_cell_definition_drift_fails():
     """A baseline generated from stale cell definitions is rejected."""
     payload = _good_payload()
-    payload["sparse_cells"][0]["wake_window_mult"] = 123
+    payload["cells"][0]["wake_window_mult"] = 123
     errors = _check(payload)
     assert any("does not match the code's cell definition" in e for e in errors)
 
@@ -171,14 +127,3 @@ def test_committed_file_passes_skip_run():
     """The checked-in baseline satisfies its own gates end to end."""
     rc = check_bench.main(["--skip-run"])
     assert rc == 0
-
-
-@pytest.mark.parametrize("floor,expect_fail", [(3.0, False), (1000.0, True)])
-def test_sparse_floor_is_tunable(floor, expect_fail):
-    payload = _good_payload()
-    errors = check_bench.check_committed(
-        payload,
-        committed_speedup_floor=1.5,
-        sparse_speedup_floor=floor,
-    )
-    assert bool(errors) == expect_fail

@@ -64,6 +64,19 @@ class TestColor:
         assert rc == 0, out
         assert "proper" in out
 
+    def test_block_results_identical_at_any_block_above_one(self, capsys):
+        """B > 1 runs the batched node class, so every B > 1 prints the
+        same summary (B = 1 runs the classic node, another trajectory)."""
+        outs = []
+        for block in ("2", "64"):
+            rc = main(["color", "--n", "40", "--degree", "8", "--seed", "3",
+                       "--block", block])
+            out = capsys.readouterr().out
+            assert rc == 0, out
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert "slots: 7425" in outs[0]
+
     def test_channels_rejected_on_unaligned(self, capsys):
         rc = main(
             ["color", "--n", "20", "--degree", "6", "--seed", "3",
@@ -92,10 +105,9 @@ class TestConform:
         rc = main(["conform", "--quick"])
         out = capsys.readouterr().out
         assert rc == 0, out
-        # 8 cells: classic-vs-vectorized x4, per-slot-vs-blocked x1,
-        # the sparse-stepping CI cell, plus the SINR-PHY and
-        # mis-protocol smoke cells.
-        assert "8/8 scenarios conform" in out
+        # 7 cells: classic-vs-vectorized x4, per-slot-vs-blocked x1,
+        # plus the SINR-PHY and mis-protocol smoke cells.
+        assert "7/7 scenarios conform" in out
 
     def test_injected_bug_exits_nonzero_with_report(self, capsys):
         rc = main(["conform", "--quick", "--inject-bug"])

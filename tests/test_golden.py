@@ -173,17 +173,14 @@ class TestGoldenColoring:
             assert blocked.trace.channel_metrics.totals() == totals
 
     @pytest.mark.slow
-    def test_sparse_10k_run_pinned(self):
-        """Golden pin for one n = 10,000 active-set sparse run (nightly).
+    def test_blocked_10k_run_pinned(self):
+        """Golden pin for one n = 10,000 dense blocked run (nightly).
 
-        The byte-identity wall (test_radio_sparse, SPARSE_MATRIX) proves
-        sparse == dense on small worlds; this pins the sparse path's
-        *own* whole-run outcome at real scale, where a drifted stream
-        position would corrupt runs the small-n tests never see: a
-        spread wake schedule (479 of 10,000 nodes wake inside the
-        horizon), a 20,000-slot horizon, and exact lattice accounting
-        (protocol_draws == slots * n).  The dense blocked run of the
-        same workload must reproduce every byte.  ~70 s; runs in the
+        Pins the blocked engine's whole-run outcome at real scale, where
+        a drifted stream position would corrupt runs the small-n tests
+        never see: a spread wake schedule (479 of 10,000 nodes wake
+        inside the horizon), a 20,000-slot horizon, and exact lattice
+        accounting (protocol_draws == slots * n).  ~35 s; runs in the
         nightly `make test-slow` job, deselected from tier-1.
         """
         from repro.core import BernoulliColoringNode
@@ -191,10 +188,17 @@ class TestGoldenColoring:
 
         dep = random_udg(10_000, expected_degree=12, seed=1)
         wake = uniform_random(10_000, window=400_000, seed=2)
-        colors_sha = (
-            "444a3db2d6935b4ebb7f23baf7948f2e0dd0ce41dc392dc2086255c109e82290"
+        res = run_coloring(
+            dep,
+            wake_slots=wake,
+            seed=3,
+            node_cls=BernoulliColoringNode,
+            block=4096,
+            max_slots=20_000,
         )
-        totals_pinned = {
+        assert res.slots == 20_000
+        totals = res.trace.channel_metrics.totals()
+        assert totals == {
             "tx": 15016,
             "rx": 6184,
             "collisions": 6,
@@ -202,28 +206,14 @@ class TestGoldenColoring:
             "protocol_draws": 200_000_000,
             "loss_draws": 0,
         }
-        results = {}
-        for label, sparse in (("sparse", True), ("dense", False)):
-            res = run_coloring(
-                dep,
-                wake_slots=wake,
-                seed=3,
-                node_cls=BernoulliColoringNode,
-                block=4096,
-                sparse=sparse,
-                max_slots=20_000,
-            )
-            assert res.slots == 20_000, label
-            totals = res.trace.channel_metrics.totals()
-            assert totals == totals_pinned, label
-            assert totals["protocol_draws"] == res.slots * 10_000
-            digest = hashlib.sha256(
-                np.ascontiguousarray(res.colors, dtype=np.int64).tobytes()
-            ).hexdigest()
-            assert digest == colors_sha, label
-            assert int((res.colors >= 0).sum()) == 57, label
-            results[label] = res
-        assert np.array_equal(results["sparse"].colors, results["dense"].colors)
+        assert totals["protocol_draws"] == res.slots * 10_000
+        digest = hashlib.sha256(
+            np.ascontiguousarray(res.colors, dtype=np.int64).tobytes()
+        ).hexdigest()
+        assert digest == (
+            "444a3db2d6935b4ebb7f23baf7948f2e0dd0ce41dc392dc2086255c109e82290"
+        )
+        assert int((res.colors >= 0).sum()) == 57
 
     def test_ring_colors_pinned(self):
         res = run_coloring(ring_deployment(10), seed=3)

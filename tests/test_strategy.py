@@ -28,6 +28,7 @@ from repro.core.strategy import (
     resolve_protocol,
 )
 from repro.core.protocol import run_coloring
+from repro.core.vector_node import BernoulliColoringNode
 from repro.graphs import random_udg
 
 
@@ -111,9 +112,13 @@ class TestMisProtocol:
         assert mis.completed and full.completed
         assert mis.slots <= full.slots
 
-    def test_runs_on_sinr_block_and_replica_paths(self):
+    def test_runs_on_sinr_and_block_paths(self):
         dep = random_udg(24, expected_degree=6.0, seed=13)
-        for kwargs in ({"phy": "sinr"}, {"block": 32}, {"sparse": True}):
+        for kwargs in (
+            {"phy": "sinr"},
+            {"block": 32},
+            {"block": 32, "node_cls": BernoulliColoringNode},
+        ):
             res = run_coloring(dep, seed=13, protocol="mis", **kwargs)
             assert res.completed, kwargs
             assert res.protocol == "mis"
