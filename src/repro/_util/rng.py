@@ -167,6 +167,24 @@ class RngMeter:
         self.draws += int(count)
         self.generator.bit_generator.advance(int(count))
 
+    # -- rewinding ---------------------------------------------------------
+    def checkpoint(self) -> tuple[dict[str, Any], int, int]:
+        """Snapshot the stream position and both meters, for :meth:`rewind`."""
+        return self.generator.bit_generator.state, self.draws, self.calls
+
+    def rewind(self, checkpoint: tuple[dict[str, Any], int, int]) -> None:
+        """Return the stream and its meters to ``checkpoint``.
+
+        The engine resolves a run of fire slots before it knows where a
+        state change cuts the run; it draws the side streams (loss coins,
+        channel hops) for the whole run, then rewinds here and redraws
+        the part before the cut.  Restoring the bit generator's full
+        state, not stepping it back, keeps any buffered 32-bit half of a
+        previous ``integers`` call exact.
+        """
+        state, self.draws, self.calls = checkpoint
+        self.generator.bit_generator.state = state
+
     # -- unmetered structural methods -----------------------------------
     def spawn(self, n_children: int) -> list[np.random.Generator]:
         """Spawn independent children (consumes no draws; not metered)."""

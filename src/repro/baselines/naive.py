@@ -40,12 +40,11 @@ class NaiveResetNode(ColoringNode):
 
     __slots__ = ()
 
-    def _deliver_verify(self, slot: int, msg: Message) -> None:
+    def _deliver_verify(self, slot: int, msg: Message) -> bool:
         i = self.index
         if isinstance(msg, ColorMessage):
             # Transitions on M_C^i are unchanged.
-            super()._deliver_verify(slot, msg)
-            return
+            return super()._deliver_verify(slot, msg)
         if isinstance(msg, CounterMessage) and msg.color == i and self._active:
             # The naive rule: any higher counter resets ours to zero.
             # Ties are broken by ID — with synchronous wake-up all counters
@@ -54,6 +53,8 @@ class NaiveResetNode(ColoringNode):
             if (msg.counter, msg.sender) > (self.counter(slot), self.vid):
                 self._set_counter(0, slot)
                 self.resets += 1
+                return True
+        return False
 
 
 def run_naive_coloring(

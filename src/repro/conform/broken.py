@@ -29,7 +29,7 @@ class OffByOneCounterNode(BernoulliColoringNode):
 
     BROKEN_VID = 0
 
-    def emit(self, slot: int) -> Message | None:
+    def emit(self, slot: int) -> Message:
         """Emit normally, then corrupt the broken vid's counter field."""
         msg = super().emit(slot)
         if (

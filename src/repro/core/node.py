@@ -270,30 +270,33 @@ class ColoringNode(ProtocolNode):
     # ------------------------------------------------------------------
     # Reception (end of slot)
     # ------------------------------------------------------------------
-    def deliver(self, slot: int, msg: Message) -> None:
+    def deliver(self, slot: int, msg: Message) -> bool:
         """Process a received message according to the current state
-        (the engine's phase-4 hook)."""
+        (the engine's phase-4 hook).  Returns ``False`` when the message
+        left the phase, color index, counter schedule and leader queue
+        untouched (see :meth:`ProtocolNode.deliver`)."""
         phase = self.phase
         if phase is Phase.VERIFY:
-            self._deliver_verify(slot, msg)
-        elif phase is Phase.REQUEST:
-            self._deliver_request(slot, msg)
-        elif phase is Phase.COLORED and self.index == 0:
-            self._deliver_leader(slot, msg)
+            return self._deliver_verify(slot, msg)
+        if phase is Phase.REQUEST:
+            return self._deliver_request(slot, msg)
+        if phase is Phase.COLORED and self.index == 0:
+            return self._deliver_leader(slot, msg)
         # Colored non-leaders and (unreachable) sleepers ignore everything.
+        return False
 
-    def _deliver_verify(self, slot: int, msg: Message) -> None:
+    def _deliver_verify(self, slot: int, msg: Message) -> bool:
         i = self.index
         if isinstance(msg, ColorMessage):
             if msg.color != i:
-                return  # other color classes are irrelevant in A_i
+                return False  # other color classes are irrelevant in A_i
             # L10-13 / L23-26: a neighbor decided color i -> move on.
             if i == 0:
                 self.leader = msg.sender  # L12: L(v) := w
                 self._enter_request(slot)
             else:
                 self._enter_verify(i + 1, slot + 1)
-            return
+            return True
         if isinstance(msg, CounterMessage) and msg.color == i:
             # L6-8 / L27-28: update the competitor list.
             self._competitors[msg.sender] = (msg.counter, slot)
@@ -302,8 +305,10 @@ class ColoringNode(ProtocolNode):
                 if abs(self.counter(slot) - msg.counter) <= self._crit:
                     self._set_counter(self._chi(slot), slot)
                     self.resets += 1
+                    return True
+        return False
 
-    def _deliver_request(self, slot: int, msg: Message) -> None:
+    def _deliver_request(self, slot: int, msg: Message) -> bool:
         # Alg. 2 L3-4: only an assignment from *our* leader matters.
         if (
             isinstance(msg, AssignMessage)
@@ -312,8 +317,10 @@ class ColoringNode(ProtocolNode):
         ):
             self.tc = msg.tc
             self._enter_verify(self.params.color_for_tc(msg.tc), slot + 1)
+            return True
+        return False
 
-    def _deliver_leader(self, slot: int, msg: Message) -> None:
+    def _deliver_leader(self, slot: int, msg: Message) -> bool:
         # Alg. 3 L10-12: queue new intra-cluster color requests.
         if (
             isinstance(msg, RequestMessage)
@@ -322,6 +329,8 @@ class ColoringNode(ProtocolNode):
         ):
             self._queue.append(msg.sender)
             self._queued.add(msg.sender)
+            return True
+        return False
 
     # ------------------------------------------------------------------
     @property

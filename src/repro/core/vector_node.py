@@ -15,12 +15,25 @@ decision, *evaluated by the engine*: the node only exposes
   period, the L19 threshold crossing, a leader's serve-window expiry);
 - :meth:`on_event` — applies those scheduled transitions;
 - :meth:`emit` — builds the message for a slot in which the engine's
-  batched Bernoulli draw fired.
+  batched Bernoulli draw fired.  It must be pure (no side effects, a
+  function of node state and slot): the engine builds a message only
+  when a delivery needs it, possibly after other nodes' deliveries of
+  the same slot;
+- :meth:`listen_key` and :meth:`message_keys` — the delivery filter.  A
+  node can only react to a message if its listen key equals one of the
+  sender's two message keys: a node in ``A_i`` listens to color ``i``
+  (counter and color messages of ``i``; assignments are color-0
+  messages), a requester and a leader listen to their own address
+  (assignments to them; requests to them), and colored non-leaders
+  listen to nothing;
+- :meth:`deliver` — returns ``False`` when the delivery changed none of
+  the above.
 
 With every node exposing this interface the engine draws all transmit
-decisions in one ``rng.random(n)`` call per slot and pays Python-call
-cost only for actual transmitters, receivers, and (rare) state events —
-see :mod:`repro.radio.engine`.
+decisions of a span in one segment draw and resolves every fire slot
+drawn under one state in one pass; it pays Python-call cost only for
+deliveries the filter lets through and for (rare) state events — see
+:mod:`repro.radio.engine`.
 
 The per-slot Bernoulli decision is distributionally identical to the
 geometric skips (both implement Alg. 1 L22 / Alg. 3 L14), so this node
@@ -47,6 +60,17 @@ from repro.radio.messages import (
 )
 
 __all__ = ["BernoulliColoringNode"]
+
+#: listen key of a node that reacts to no message (colored non-leaders).
+_DEAF = -1
+#: message keys of a node that cannot transmit (asleep).
+_MUTE = -2
+
+
+def _address(vid: int) -> int:
+    """The key of messages addressed to ``vid`` (below every color key
+    and both sentinels)."""
+    return -3 - vid
 
 
 class BernoulliColoringNode(ColoringNode):
@@ -102,12 +126,11 @@ class BernoulliColoringNode(ColoringNode):
         if self.phase is Phase.COLORED and self.index == 0:
             self._leader_tick(slot)
 
-    def emit(self, slot: int) -> Message | None:
-        """Build the message for a slot whose batched draw fired."""
+    def emit(self, slot: int) -> Message:
+        """Build the message for a slot whose batched draw fired (pure:
+        reads node state, changes nothing)."""
         phase = self.phase
-        if phase is Phase.VERIFY:
-            if not self._active:  # pragma: no cover - p is 0 while passive
-                return None
+        if phase is Phase.VERIFY and self._active:
             return CounterMessage(
                 sender=self.vid, color=self.index, counter=self.counter(slot)
             )
@@ -121,7 +144,34 @@ class BernoulliColoringNode(ColoringNode):
                 target, tc = self._serving
                 return AssignMessage(sender=self.vid, color=0, target=target, tc=tc)
             return ColorMessage(sender=self.vid, color=0)
-        return None  # pragma: no cover - sleeping nodes carry p = 0
+        # Passive and sleeping nodes carry p = 0: no draw can fire them.
+        raise RuntimeError(f"node {self.vid} cannot transmit")  # pragma: no cover
+
+    def listen_key(self) -> int:
+        """The one message key this node can react to (see module docs)."""
+        phase = self.phase
+        if phase is Phase.VERIFY:
+            return self.index
+        if phase is Phase.REQUEST or (phase is Phase.COLORED and self.index == 0):
+            return _address(self.vid)
+        return _DEAF
+
+    def message_keys(self) -> tuple[int, int]:
+        """The two keys of the message :meth:`emit` would build now: its
+        color, and for addressed messages the address (requests carry
+        only their leader's address)."""
+        phase = self.phase
+        if phase is Phase.VERIFY:
+            return self.index, self.index
+        if phase is Phase.REQUEST:
+            assert self.leader is not None
+            address = _address(self.leader)
+            return address, address
+        if phase is Phase.COLORED:
+            if self.index == 0 and self._serving is not None:
+                return 0, _address(self._serving[0])
+            return self.index, self.index
+        return _MUTE, _MUTE
 
     # ------------------------------------------------------------------
     # Leader bookkeeping (Alg. 3 L16-21), event-driven
@@ -138,10 +188,11 @@ class BernoulliColoringNode(ColoringNode):
             self._serve_end = slot + self.params.serve_window
         self._queue_ready = _FAR
 
-    def _deliver_leader(self, slot: int, msg: Message) -> None:
+    def _deliver_leader(self, slot: int, msg: Message) -> bool:
         had_queue = bool(self._queue)
-        super()._deliver_leader(slot, msg)
+        queued = super()._deliver_leader(slot, msg)
         if self._serving is None and self._queue and not had_queue:
             # Idle leader queued a fresh request: start serving it at the
             # next slot (the slot the step-path leader would act on it).
             self._queue_ready = slot + 1
+        return queued

@@ -3,31 +3,29 @@
 Every simulator in :mod:`repro.radio` ends a slot the same way: a set of
 transmissions must be turned into per-listener outcomes (delivery,
 collision, or injected loss), in a canonical order, with the always-on
-channel metrics emitted.  Before this module existed that machinery
-lived inline in :class:`~repro.radio.engine.RadioSimulator` and was
-partially forked (without loss injection or metrics) into
-:class:`~repro.radio.unaligned.UnalignedRadioSimulator`.  Now it is one
-core with two cleanly separated roles:
+channel metrics emitted.  One core does this for every simulator, with
+two cleanly separated roles:
 
-- a :class:`PhyModel` decides *who can hear whom*: it maps a slot's
-  transmission set to ``(listener, overlap count, message, eligible)``
-  candidate rows in ascending listener order.
-  :class:`CollisionPhy` is the paper's single-channel graph-collision
-  model (Sect. 2); :class:`MultiChannelPhy` is the multi-channel model
-  of the earlier unstructured-radio papers the paper contrasts itself
-  with ([13, 14]) — nodes sit on a channel per slot and only same-channel
-  transmissions interfere;
+- a :class:`PhyModel` decides *who can hear whom*: it maps a
+  :class:`FireRun` — the transmissions of one or more consecutive slots
+  — to :class:`Candidates`, ``(slot, listener, overlap count, decodable
+  transmission, eligible)`` rows in ascending ``(slot, listener)``
+  order.  :class:`CollisionPhy` is the paper's
+  single-channel graph-collision model (Sect. 2); :class:`MultiChannelPhy`
+  is the multi-channel model of the earlier unstructured-radio papers
+  the paper contrasts itself with ([13, 14]) — nodes sit on a channel
+  per slot and only same-channel transmissions interfere;
 - the :class:`ChannelCore` applies the *model-independent* delivery
   law to those rows: exactly-one-overlap listeners receive (unless the
   injected-loss coin drops the message), two-or-more collide silently,
-  and every outcome is traced and counted.
+  and every outcome is counted, in bulk, per node and per slot.
 
 Determinism contract (every PHY must uphold it; see DESIGN.md §5.9):
 
 1. **Canonical order** — ``resolve`` returns candidates in ascending
-   listener id, so loss-draw assignment and trace event order are a
-   function of the slot's transmission *set*, never of which execution
-   path (or buffer geometry) produced it.
+   ``(slot, listener)``, so loss-draw assignment and trace event order
+   are a function of each slot's transmission *set*, never of which
+   execution path (or buffer geometry, or run length) produced it.
 2. **Loss-stream isolation** — loss coins come from a child generator
    spawned off the protocol stream at construction
    (:meth:`numpy.random.Generator.spawn` consumes no parent draws), so a
@@ -36,26 +34,31 @@ Determinism contract (every PHY must uphold it; see DESIGN.md §5.9):
 3. **Side-stream isolation** — any extra randomness a PHY needs (e.g.
    channel hopping) must likewise come from its own spawned child,
    metered, never from the protocol stream.
-4. **Empty-slot laziness** — ``resolve`` must consume no randomness when
-   the outbox is empty (draw side streams lazily, like
-   :class:`MultiChannelPhy` does).  The block-stepped engine advances
-   runs of empty slots without calling ``resolve`` at all, so an eager
-   PHY draw would silently decouple the block-stepped and per-slot
-   trajectories.
+4. **Empty-slot laziness** — ``resolve`` must consume no randomness for
+   slots without transmissions (draw side streams lazily, per fire
+   slot, like :class:`MultiChannelPhy` does).  The engine skips empty
+   slots without calling ``resolve`` at all, so an eager PHY draw would
+   silently decouple the block-stepped and per-slot trajectories.
+5. **Run-length independence** — a run's rows and side-stream draws
+   must equal the concatenation of its slots' one-slot runs, and
+   :meth:`PhyModel.rewind` must return every side-stream variate drawn
+   for slots past a cut.  The core cuts a run after the first slot
+   whose deliveries change the state the run was drawn under.
 
 Adding a new PHY model is three steps: subclass :class:`PhyModel`,
-implement ``resolve`` honouring the contract above, and add a pinned
-conformance scenario for it (see :mod:`repro.conform.scenarios`) so the
-dual-path harness keeps it honest.  ``docs/model.md`` walks through the
-interface.
+implement ``resolve`` (and ``rewind``, if it draws) honouring the
+contract above, and add a pinned conformance scenario for it (see
+:mod:`repro.conform.scenarios`) so the dual-path harness keeps it
+honest.  ``docs/model.md`` walks through the interface.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Sequence
+from array import array
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 import numpy as np
 
@@ -67,12 +70,11 @@ from repro._util import RngMeter
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.radio.node import ProtocolNode
 
-#: one PHY candidate row: (listener, overlap count, message, eligible).
-Candidate = tuple[int, int, "Message | None", bool]
-
 __all__ = [
+    "Candidates",
     "ChannelCore",
     "CollisionPhy",
+    "FireRun",
     "MultiChannelPhy",
     "PhyModel",
     "SimulationResult",
@@ -108,6 +110,150 @@ class SimulationResult:
     def timed_out(self) -> bool:
         """Whether the run exhausted its slot budget without stopping."""
         return not self.stopped_early
+
+
+class FireRun:
+    """The transmissions of the slots ``[t0, t1)``: what a PHY resolves.
+
+    Transmission ``k`` is node ``sender[k]`` sending in slot ``slot[k]``.
+    Slots ascend; within a slot, transmissions keep the order they were
+    made in (ascending node id on the vectorized engine).  A run covers
+    consecutive slots whose transmit draws were taken under one frozen
+    state, so it may contain slots without transmissions.  The per-slot
+    paths and the unaligned simulator make runs of one slot.
+
+    ``msgs`` is the message table that :class:`Candidates` rows index
+    into.  A *recorded* run (``nodes is None``) was logged by
+    :meth:`ChannelCore.record_tx` while it was collected, and brings
+    its table along.  A *drawn* run (the vectorized engine) brings the
+    node list instead: ``msgs[k]`` is transmission ``k``'s message,
+    built by ``emit`` the first time something needs it, and
+    :meth:`ChannelCore.deliver` records the transmissions of the slots
+    it processes.  Building messages late is sound because ``emit`` is
+    pure and a transmitter receives nothing in its own slot.
+
+    ``draws`` is the number of protocol-stream variates each slot of the
+    run consumed (``n`` per slot on the vectorized engine).  ``slot`` and
+    ``sender`` are numpy arrays, or plain lists for a run of one slot
+    (see :class:`Candidates`).
+    """
+
+    __slots__ = ("t0", "t1", "slot", "sender", "draws", "msgs", "nodes")
+
+    def __init__(
+        self,
+        t0: int,
+        t1: int,
+        slot: "np.ndarray | list[int]",
+        sender: "np.ndarray | list[int]",
+        draws: int,
+        msgs: "list[Message | None] | None" = None,
+        nodes: "Sequence[Any] | None" = None,
+    ) -> None:
+        self.t0 = t0
+        self.t1 = t1
+        self.slot = slot
+        self.sender = sender
+        self.draws = draws
+        self.nodes = nodes
+        self.msgs: list[Message | None] = (
+            [None] * len(sender) if msgs is None else msgs
+        )
+
+    @classmethod
+    def recorded(
+        cls, t: int, outbox: list[tuple[int, Message]], draws: int
+    ) -> "FireRun":
+        """Slot ``t``'s outbox, already logged by :meth:`ChannelCore.record_tx`."""
+        return cls(
+            t,
+            t + 1,
+            [t] * len(outbox),
+            [v for v, _ in outbox],
+            draws,
+            msgs=[msg for _, msg in outbox],
+        )
+
+    def __len__(self) -> int:
+        """Number of transmissions in the run."""
+        return len(self.sender)
+
+    def message(self, k: int) -> Message:
+        """Entry ``k`` of the message table, emitted on first use on a
+        drawn run."""
+        msg = self.msgs[k]
+        if msg is None:
+            assert self.nodes is not None, "recorded runs carry every message"
+            v, slot = int(self.sender[k]), int(self.slot[k])
+            msg = self.nodes[v].emit(slot)
+            if msg is None:
+                raise RuntimeError(f"slot {slot}: node {v} fired but emitted nothing")
+            self.msgs[k] = msg
+        return msg
+
+
+class Candidates:
+    """A PHY's verdict on a :class:`FireRun`: one row per ``(slot,
+    listener)`` pair its transmissions touch, ascending in ``(slot,
+    listener)`` — the canonical order.
+
+    ``count`` is the number of transmissions the listener's slot
+    overlaps under the PHY; ``tx`` indexes ``run.msgs`` with the unique
+    decodable transmission (``count`` is then 1), ``-1`` when there is
+    none (a collision); ``eligible`` is whether the listener could
+    receive at all (awake and not transmitting itself).  ``len()`` is
+    the row count.
+
+    The columns are numpy arrays, or plain lists for a run of one slot:
+    a slot's handful of rows costs less in Python than in numpy calls.
+    """
+
+    __slots__ = ("run", "slot", "listener", "count", "tx", "eligible")
+
+    def __init__(
+        self,
+        run: FireRun,
+        slot: "np.ndarray | list[int]",
+        listener: "np.ndarray | list[int]",
+        count: "np.ndarray | list[int]",
+        tx: "np.ndarray | list[int]",
+        eligible: "np.ndarray | list[bool]",
+    ) -> None:
+        self.run = run
+        self.slot = slot
+        self.listener = listener
+        self.count = count
+        self.tx = tx
+        self.eligible = eligible
+
+    def __len__(self) -> int:
+        """Number of candidate rows."""
+        return len(self.listener)
+
+
+_NONE = np.empty(0, dtype=np.int64)
+
+
+def _listed(column: "np.ndarray | list[Any]") -> list[Any]:
+    """A run or candidate column as a plain list."""
+    if isinstance(column, list):
+        return column
+    out: list[Any] = column.tolist()
+    return out
+
+
+def _matches(keys: tuple[np.ndarray, np.ndarray, np.ndarray], u: int, v: int) -> bool:
+    """Whether listener ``u``'s listen key is one of sender ``v``'s
+    message keys."""
+    listen, send_a, send_b = keys
+    return bool(listen[u] == send_a[v] or listen[u] == send_b[v])
+
+
+def _per_slot(slot: np.ndarray, idx: np.ndarray, t0: int, span: int) -> "array[int]":
+    """How many of the entries ``idx`` of ``slot`` fall on each slot of
+    ``[t0, t0 + span)``, as a metrics column."""
+    counts = np.bincount(slot[idx] - t0, minlength=span)
+    return array("i", counts.astype(np.int32).tobytes())
 
 
 class ChannelCore:
@@ -147,6 +293,7 @@ class ChannelCore:
         "max_message_bits",
         "id_space",
         "on_deliver",
+        "keys",
     )
 
     def __init__(
@@ -171,10 +318,16 @@ class ChannelCore:
         self._loss_rng = RngMeter(rng.spawn(1)[0]) if loss_prob > 0.0 else None
         self.max_message_bits = max_message_bits
         self.id_space = id_space
-        #: optional hook called as ``on_deliver(u, msg)`` after each
-        #: successful delivery (fast-path cache refresh, unaligned
-        #: decode-once bookkeeping).
-        self.on_deliver: Callable[[int, Message], None] | None = None
+        #: optional hook called as ``on_deliver(u, msg, report)`` after
+        #: each delivery, ``report`` being what the node's ``deliver``
+        #: returned; a true result cuts the run after the current slot
+        #: (fast-path cache refresh, unaligned decode-once bookkeeping).
+        self.on_deliver: Callable[[int, Message, bool | None], bool] | None = None
+        #: optional ``(listen, send_a, send_b)`` per-node key arrays: a
+        #: delivery reaches ``node.deliver`` only if the receiver's listen
+        #: key equals one of the sender's two message keys.  ``None``
+        #: (classic and unaligned nodes) delivers everything.
+        self.keys: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -182,10 +335,8 @@ class ChannelCore:
         """Variates consumed from the loss stream so far."""
         return self._loss_rng.draws if self._loss_rng is not None else 0
 
-    def record_tx(
-        self, t: int, v: int, msg: Message, outbox: list[tuple[int, Message]]
-    ) -> None:
-        """Phase-2 exit point: size-check, log, and enqueue a transmission."""
+    def _check_bits(self, t: int, v: int, msg: Message) -> None:
+        """Raise if ``msg`` exceeds ``max_message_bits`` (Sect. 2)."""
         if self.max_message_bits is not None:
             bits = message_bits(msg, self.id_space)
             if bits > self.max_message_bits:
@@ -193,62 +344,226 @@ class ChannelCore:
                     f"slot {t}: node {v} sent a {bits}-bit message, "
                     f"exceeding the {self.max_message_bits}-bit bound"
                 )
+
+    def record_tx(
+        self, t: int, v: int, msg: Message, outbox: list[tuple[int, Message]]
+    ) -> None:
+        """Phase-2 exit point: size-check, log, and enqueue a transmission."""
+        self._check_bits(t, v, msg)
         outbox.append((v, msg))
         self.trace.tx(t, v, msg)
 
-    def deliver(self, t: int, candidates: Iterable[Candidate]) -> tuple[int, int, int]:
-        """Apply the delivery law to candidate rows, in the order given.
+    def deliver(self, t: int, candidates: Candidates) -> int:
+        """Apply the delivery law to a run's candidate rows; return the
+        end of the processed span.
 
-        ``candidates`` yields ``(listener, count, msg, eligible)`` rows —
-        ascending listener id by the PHY contract.  Ineligible listeners
-        (asleep or themselves transmitting) observe nothing; an eligible
-        listener with ``count == 1`` receives unless the loss coin drops
-        the message (silently, like a collision); ``count >= 2`` is a
-        collision.  The loss stream is consumed one draw per
-        otherwise-successful reception, so the canonical candidate order
-        makes loss outcomes a function of the slot's transmission set.
-        Returns ``(delivered, collided, lost)``.
+        ``t`` is the run's first slot.  Ineligible listeners (asleep or
+        transmitting) observe nothing; an eligible listener with a
+        decodable transmission receives unless its loss coin drops the
+        message (silently, like a collision); every other eligible row
+        is a collision.  Loss coins are drawn one per otherwise-
+        successful reception in canonical row order, so loss outcomes are
+        a function of the transmission set.
+
+        Receivers are called in canonical order, and only where
+        :attr:`keys` say the message can matter; each call is reported
+        to :attr:`on_deliver`, and a true result there means the state
+        the run was drawn under changed, so the run is cut after that
+        slot: everything past the cut is dropped, and the returned end
+        tells the caller where to resume.  The transmissions of a drawn
+        run's processed slots are recorded here, and every processed
+        slot gets its :class:`~repro.radio.trace.ChannelMetrics` row.
+
+        A run of several slots at trace level below 2 whose messages
+        need no size check is delivered in bulk (:meth:`_deliver_bulk`);
+        everything else row by row (:meth:`_walk`), which also writes the
+        level-2 event log in the per-slot order.
         """
-        nodes = self.nodes
+        run = candidates.run
+        if (
+            run.t1 - run.t0 == 1
+            or self.trace.level >= 2
+            or (run.nodes is not None and self.max_message_bits is not None)
+        ):
+            return self._walk(candidates)
+        return self._deliver_bulk(candidates)
+
+    def _walk(self, candidates: Candidates) -> int:
+        """:meth:`deliver` in plain Python, slot by slot: each slot's
+        transmissions are recorded (size check, ``tx`` event), then its
+        rows delivered in order, with a scalar loss coin per
+        otherwise-successful reception."""
+        run = candidates.run
         trace = self.trace
-        loss_rng = self._loss_rng
+        nodes = self.nodes
         on_deliver = self.on_deliver
-        delivered = collided = lost = 0
-        for u, count, msg, eligible in candidates:
-            if not eligible:
-                continue
-            if count == 1 and msg is not None:
-                if loss_rng is not None and loss_rng.random() < self.loss_prob:
-                    lost += 1  # injected fading loss: silent, like a collision
-                else:
-                    nodes[u].deliver(t, msg)
-                    trace.rx(t, u, msg)
-                    delivered += 1
-                    if on_deliver is not None:
-                        on_deliver(u, msg)
-            else:
-                trace.collision(t, u, int(count))
-                collided += 1
-        return delivered, collided, lost
+        loss_rng = self._loss_rng
+        keys = self.keys
+        log = trace.level >= 2
+        drawn = run.nodes is not None
+        emit_all = drawn and (log or self.max_message_bits is not None)
+        slots = _listed(candidates.slot)
+        listeners = _listed(candidates.listener)
+        counts = _listed(candidates.count)
+        txs = _listed(candidates.tx)
+        eligible = _listed(candidates.eligible)
+        senders = _listed(run.sender)
+        tx_slots = _listed(run.slot)
+        tx_col: list[int] = []
+        rx_col: list[int] = []
+        coll_col: list[int] = []
+        lost_col: list[int] = []
+        coin_col: list[int] = []
+        i = j = 0
+        s = run.t0
+        dirty = False
+        while s < run.t1 and not dirty:
+            sent = 0
+            while j < len(tx_slots) and tx_slots[j] == s:
+                if drawn:
+                    v = senders[j]
+                    msg = run.message(j) if emit_all else None
+                    if msg is not None:
+                        self._check_bits(s, v, msg)
+                    trace.tx(s, v, msg)
+                sent += 1
+                j += 1
+            rx = collided = lost = coins = 0
+            while i < len(slots) and slots[i] == s:
+                u, k, count, ok = listeners[i], txs[i], counts[i], eligible[i]
+                i += 1
+                if not ok:
+                    continue
+                if k < 0:
+                    trace.collision(s, u, count)
+                    collided += 1
+                    continue
+                if loss_rng is not None:
+                    coins += 1
+                    if loss_rng.random() < self.loss_prob:
+                        lost += 1  # injected fading loss: silent, like a collision
+                        continue
+                rx += 1
+                heard = keys is None or _matches(keys, u, senders[k])
+                msg = run.message(k) if heard or log else None
+                if heard:
+                    assert msg is not None
+                    report = nodes[u].deliver(s, msg)
+                    if on_deliver is not None and on_deliver(u, msg, report):
+                        dirty = True
+                trace.rx(s, u, msg)
+            tx_col.append(sent)
+            rx_col.append(rx)
+            coll_col.append(collided)
+            lost_col.append(lost)
+            coin_col.append(coins)
+            s += 1
+        trace.channels(
+            run.t0, tx_col, rx_col, coll_col, lost_col, [run.draws] * len(tx_col), coin_col
+        )
+        return s
+
+    def _deliver_bulk(self, candidates: Candidates) -> int:
+        """:meth:`deliver` for a run of several slots: loss coins in one
+        draw, the key filter and all counters and metrics in numpy, and
+        Python only for the deliveries the filter lets through.  Loss
+        coins drawn past a cut are rewound."""
+        run = candidates.run
+        t0, t1 = run.t0, run.t1
+        trace = self.trace
+        run_slot, run_sender = np.asarray(run.slot), np.asarray(run.sender)
+        slot = np.asarray(candidates.slot)
+        listener = np.asarray(candidates.listener)
+        tx = np.asarray(candidates.tx)
+        eligible = np.asarray(candidates.eligible)
+        decodable = tx >= 0
+        ok = np.flatnonzero(eligible & decodable)
+        collided = np.flatnonzero(eligible & ~decodable)
+        loss_rng = self._loss_rng
+        mark: tuple[dict[str, Any], int, int] | None = None
+        lost = _NONE
+        kept = ok
+        if loss_rng is not None and ok.size:
+            mark = loss_rng.checkpoint()
+            dropped = loss_rng.random(ok.size) < self.loss_prob
+            kept, lost = ok[~dropped], ok[dropped]
+        heard = kept
+        if self.keys is not None and kept.size:
+            listen, send_a, send_b = self.keys
+            lk = listen[listener[kept]]
+            sender = run_sender[tx[kept]]
+            heard = kept[(lk == send_a[sender]) | (lk == send_b[sender])]
+        end = self._deliver_heard(run, slot[heard], listener[heard], tx[heard])
+
+        ntx = len(run)
+        if end < t1:
+            rows = int(np.searchsorted(slot, end))
+            ok = ok[: np.searchsorted(ok, rows)]
+            kept = kept[: np.searchsorted(kept, rows)]
+            lost = lost[: np.searchsorted(lost, rows)]
+            collided = collided[: np.searchsorted(collided, rows)]
+            ntx = int(np.searchsorted(run_slot, end))
+            if mark is not None and loss_rng is not None:
+                loss_rng.rewind(mark)
+                if ok.size:
+                    loss_rng.skip(ok.size)
+        np.add.at(trace.rx_count, listener[kept], 1)
+        np.add.at(trace.collision_count, listener[collided], 1)
+        if run.nodes is not None:
+            np.add.at(trace.tx_count, run_sender[:ntx], 1)
+        span = end - t0
+        trace.channels(
+            t0,
+            _per_slot(run_slot, np.arange(ntx), t0, span),
+            _per_slot(slot, kept, t0, span),
+            _per_slot(slot, collided, t0, span),
+            _per_slot(slot, lost, t0, span),
+            array("i", [run.draws]) * span,
+            _per_slot(slot, ok, t0, span) if mark is not None else array("i", [0]) * span,
+        )
+        return end
+
+    def _deliver_heard(
+        self, run: FireRun, slot: np.ndarray, listener: np.ndarray, tx: np.ndarray
+    ) -> int:
+        """Call the receivers of the given rows in order, until a slot
+        whose deliveries changed the state; return the processed end."""
+        nodes = self.nodes
+        on_deliver = self.on_deliver
+        dirty = False
+        cur = run.t0
+        for s, u, k in zip(slot.tolist(), listener.tolist(), tx.tolist()):
+            if dirty and s != cur:
+                break
+            cur = s
+            msg = run.message(k)
+            report = nodes[u].deliver(s, msg)
+            if on_deliver is not None and on_deliver(u, msg, report):
+                dirty = True
+        return cur + 1 if dirty else run.t1
 
 
 class PhyHost(Protocol):
     """What a simulator must expose for a :class:`PhyModel` to bind to
-    it: the deployment, the node list, and the metered protocol stream
-    (side streams are spawned from it)."""
+    it: the deployment, the node list, the per-node wake slots (a node
+    is awake in slot ``t`` iff its wake slot is ``<= t``), and the
+    metered protocol stream (side streams are spawned from it)."""
 
     deployment: Deployment
     nodes: "Sequence[ProtocolNode]"
+    wake_slots: np.ndarray
     rng: RngMeter
 
 
 class PhyModel(ABC):
-    """Strategy interface: map a slot's transmission set to candidates.
+    """Strategy interface: map a run's transmissions to candidate rows.
 
     A PHY is bound to exactly one simulator (:meth:`bind` is where it
-    precomputes adjacency and spawns any side streams), then asked once
-    per slot to :meth:`resolve` the outbox into candidate rows for
-    :meth:`ChannelCore.deliver`.  See the module docstring for the
+    precomputes adjacency and spawns any side streams), then asked to
+    :meth:`resolve` each :class:`FireRun` into :class:`Candidates` for
+    :meth:`ChannelCore.deliver`.  When the core cuts a run short, the
+    simulator calls :meth:`rewind` so side-stream draws made for slots
+    past the cut are returned.  See the module docstring for the
     determinism contract every implementation must uphold.
     """
 
@@ -258,75 +573,117 @@ class PhyModel(ABC):
     # Bind-time state (set by :meth:`bind`).
     sim: PhyHost
     _nodes: "Sequence[ProtocolNode]"
-    _indptr: np.ndarray
-    _indices: np.ndarray
-    _recv_count: np.ndarray
-    _incoming: list[Message | None]
-    _transmitting: np.ndarray
+    _n: int
+    _neighbors: list[np.ndarray]
+    _degree: np.ndarray
+    _wake_slots: np.ndarray
 
     def bind(self, sim: PhyHost) -> None:
-        """Attach to ``sim`` (must expose ``deployment``, ``nodes`` and a
-        metered ``rng``).  Called once, at simulator construction."""
+        """Attach to ``sim`` (must expose ``deployment``, ``nodes``,
+        ``wake_slots`` and a metered ``rng``).  Called once, at simulator
+        construction."""
         self.sim = sim
         dep = sim.deployment
-        n = dep.n
         self._nodes = sim.nodes
-        self._indptr, self._indices = build_csr(dep)
-        # Channel state, persistent across slots, reset sparsely.
-        self._recv_count = np.zeros(n, dtype=np.int64)
-        self._incoming: list[Message | None] = [None] * n
-        self._transmitting = np.zeros(n, dtype=bool)
+        self._n = dep.n
+        self._neighbors = dep.neighbors
+        indptr, _ = build_csr(dep)
+        self._degree = np.diff(indptr)
+        self._wake_slots = sim.wake_slots
 
     @abstractmethod
-    def resolve(
-        self, slot: int, outbox: list[tuple[int, Message]]
-    ) -> list[Candidate]:
-        """Return ``(listener, count, msg, eligible)`` rows, ascending in
-        listener id.  ``count`` is the number of transmissions the
-        listener's slot overlaps under this PHY; ``msg`` is the unique
-        message when ``count == 1``; ``eligible`` is whether the listener
-        could receive at all (awake and not transmitting)."""
+    def resolve(self, slot: int, run: FireRun) -> Candidates:
+        """Return the candidate rows of ``run`` (whose first slot is
+        ``slot``), ascending in ``(slot, listener)``."""
+
+    def rewind(self, end: int) -> None:
+        """The core processed the last resolved run only up to slot
+        ``end``: return any side-stream variates drawn for later slots.
+        PHYs without a side stream have nothing to return."""
+
+    def _touches(self, run: FireRun) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``(transmission, graph neighbor)`` pair of ``run``,
+        transmission-major."""
+        if not run:
+            return _NONE, _NONE
+        neighbors = self._neighbors
+        sender = np.asarray(run.sender)
+        listener = np.concatenate([neighbors[v] for v in sender.tolist()])
+        k_of = np.repeat(np.arange(len(run)), self._degree[sender])
+        return k_of, listener
+
+    def _slot_rows(self, run: FireRun, touched: list[list[int]]) -> Candidates:
+        """The rows of a run of one slot, in plain Python: transmission
+        ``k`` reaches the listeners ``touched[k]``."""
+        count: dict[int, int] = {}
+        first: dict[int, int] = {}
+        for k, listeners in enumerate(touched):
+            for u in listeners:
+                if u in count:
+                    count[u] += 1
+                else:
+                    count[u] = 1
+                    first[u] = k
+        on_air = set(_listed(run.sender))
+        nodes = self._nodes
+        rows = sorted(count)
+        return Candidates(
+            run,
+            [run.t0] * len(rows),
+            rows,
+            [count[u] for u in rows],
+            [first[u] if count[u] == 1 else -1 for u in rows],
+            [nodes[u].awake and u not in on_air for u in rows],
+        )
+
+    def _rows(
+        self, run: FireRun, k_of: np.ndarray, listener: np.ndarray
+    ) -> Candidates:
+        """Group touch pairs (transmission ``k_of[i]`` reaches
+        ``listener[i]``) into candidate rows.  Sorting on the ``(slot,
+        listener)`` key costs O(P log P) in the P touched pairs, whatever
+        the run's length or ``n``."""
+        pairs = k_of.size
+        if pairs == 0:
+            return Candidates(run, _NONE, _NONE, _NONE, _NONE, np.zeros(0, dtype=bool))
+        n, t0 = self._n, run.t0
+        base = (np.asarray(run.slot) - t0) * n  # key of (slot, node 0), per transmission
+        key = base[k_of] + listener
+        order = np.argsort(key)
+        key = key[order]
+        new = np.empty(pairs + 1, dtype=bool)
+        new[0] = new[pairs] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:pairs])
+        edge = np.flatnonzero(new)  # row starts, then the end
+        head = edge[:-1]
+        count = edge[1:] - head
+        row_key = key[head]
+        lis = row_key % n
+        slot = row_key // n + t0
+        tx = k_of[order[head]]
+        tx[count != 1] = -1
+        # A listener transmitting in the same slot hears nothing.
+        own = np.sort(base + np.asarray(run.sender))
+        on_air = own.take(np.searchsorted(own, row_key), mode="clip") == row_key
+        eligible = (self._wake_slots[lis] <= slot) & ~on_air
+        return Candidates(run, slot, lis, count, tx, eligible)
 
 
 class CollisionPhy(PhyModel):
     """The paper's single-channel PHY: a listener is touched by every
     transmitting graph neighbor; exactly one touch decodes, two or more
     collide (Sect. 2's no-collision-detection rule).  Transmitter-centric:
-    only the neighborhoods of actual transmitters are scanned, via the
-    CSR adjacency built at :meth:`bind`."""
+    only the neighborhoods of actual transmitters are expanded, from the
+    neighbor arrays read at :meth:`bind`."""
 
     name = "collision"
 
-    def resolve(
-        self, slot: int, outbox: list[tuple[int, Message]]
-    ) -> list[Candidate]:
-        """Scatter each transmission to its neighbors; emit candidates
-        in ascending listener order (the canonical-order contract)."""
-        recv_count = self._recv_count
-        incoming = self._incoming
-        transmitting = self._transmitting
-        indptr, indices = self._indptr, self._indices
-        nodes = self._nodes
-        touched: list[int] = []
-        for v, msg in outbox:
-            transmitting[v] = True
-            for u in indices[indptr[v] : indptr[v + 1]]:
-                if recv_count[u] == 0:
-                    touched.append(u)
-                    incoming[u] = msg
-                recv_count[u] += 1
-        touched.sort()
-        candidates: list[Candidate] = []
-        for u in touched:
-            candidates.append(
-                (u, int(recv_count[u]), incoming[u],
-                 nodes[u].awake and not transmitting[u])
-            )
-            recv_count[u] = 0
-            incoming[u] = None
-        for v, _ in outbox:
-            transmitting[v] = False
-        return candidates
+    def resolve(self, slot: int, run: FireRun) -> Candidates:
+        """Every transmission touches all graph neighbors of its sender."""
+        if run.t1 - run.t0 == 1:
+            neighbors = self._neighbors
+            return self._slot_rows(run, [neighbors[v].tolist() for v in _listed(run.sender)])
+        return self._rows(run, *self._touches(run))
 
 
 class MultiChannelPhy(PhyModel):
@@ -338,7 +695,8 @@ class MultiChannelPhy(PhyModel):
     drops as ``1/channels``.  Channel selection per slot and node:
 
     - a node exposing a ``pick_channel(slot) -> int`` method reports its
-      own channel (protocol-controlled hopping);
+      own channel (protocol-controlled hopping; the method must be pure,
+      like ``emit``, since a run asks it for every fire slot up front);
     - every other node hops uniformly at random, drawn from the PHY's
       *own* metered side stream — a child spawned off the protocol
       generator at :meth:`bind`, so multi-channel runs keep the protocol
@@ -371,66 +729,68 @@ class MultiChannelPhy(PhyModel):
             for v, node in enumerate(self._nodes)
             if hasattr(node, "pick_channel")
         ]
-        self._chan = np.zeros(sim.deployment.n, dtype=np.int64)
+        # The last run's fire slots and the hop stream before their draw,
+        # for rewind().
+        self._hop_slots = _NONE
+        self._hop_mark: tuple[dict[str, Any], int, int] | None = None
 
     @property
     def channel_draws(self) -> int:
         """Variates consumed from the hop stream so far."""
         return self._hop_rng.draws
 
-    def _slot_channels(self, slot: int) -> np.ndarray:
-        """This slot's per-node channel assignment (hop draws + reported
-        channels).  Drawn lazily — only for slots with transmissions —
-        which is deterministic because the transmission set is."""
-        chan = self._chan
-        n = len(chan)
-        chan[:] = self._hop_rng.integers(0, self.channels, size=n)
-        for v, pick in self._reporters:
-            c = int(pick(slot))
-            if not 0 <= c < self.channels:
-                raise ValueError(
-                    f"node {v} picked channel {c} outside [0, {self.channels})"
-                )
-            chan[v] = c
+    def _channels(self, fire_slots: np.ndarray) -> np.ndarray:
+        """Per fire slot (row) and node (column), the channel: hop draws
+        overridden by reported channels.  One ``(m, n)`` draw consumes
+        the stream exactly like ``m`` per-slot draws of ``n``; drawing
+        only for slots with transmissions is deterministic because the
+        transmission set is."""
+        self._hop_mark = self._hop_rng.checkpoint()
+        self._hop_slots = fire_slots
+        chan: np.ndarray = self._hop_rng.integers(
+            0, self.channels, size=(fire_slots.size, self._n)
+        )
+        for i, slot in enumerate(fire_slots.tolist()):
+            for v, pick in self._reporters:
+                c = int(pick(slot))
+                if not 0 <= c < self.channels:
+                    raise ValueError(
+                        f"node {v} picked channel {c} outside [0, {self.channels})"
+                    )
+                chan[i, v] = c
         return chan
 
-    def resolve(
-        self, slot: int, outbox: list[tuple[int, Message]]
-    ) -> list[Candidate]:
+    def resolve(self, slot: int, run: FireRun) -> Candidates:
         """Like :meth:`CollisionPhy.resolve`, but only same-channel
-        neighbors are touched; the hop vector is drawn lazily so idle
-        slots consume nothing from the side stream."""
-        if not outbox:
-            return []
-        chan = self._slot_channels(slot)
-        recv_count = self._recv_count
-        incoming = self._incoming
-        transmitting = self._transmitting
-        indptr, indices = self._indptr, self._indices
-        nodes = self._nodes
-        touched: list[int] = []
-        for v, msg in outbox:
-            transmitting[v] = True
-            cv = chan[v]
-            for u in indices[indptr[v] : indptr[v + 1]]:
-                if chan[u] != cv:
-                    continue  # cross-channel: invisible, not even noise
-                if recv_count[u] == 0:
-                    touched.append(u)
-                    incoming[u] = msg
-                recv_count[u] += 1
-        touched.sort()
-        candidates: list[Candidate] = []
-        for u in touched:
-            candidates.append(
-                (u, int(recv_count[u]), incoming[u],
-                 nodes[u].awake and not transmitting[u])
+        neighbors are touched; hop vectors are drawn for the run's fire
+        slots only, so idle slots consume nothing from the side stream."""
+        if not run:
+            return self._rows(run, _NONE, _NONE)
+        if run.t1 - run.t0 == 1:
+            hop = self._channels(np.array([run.t0]))[0]
+            neighbors = self._neighbors
+            return self._slot_rows(
+                run,
+                [
+                    [u for u in neighbors[v].tolist() if hop[u] == hop[v]]
+                    for v in _listed(run.sender)
+                ],
             )
-            recv_count[u] = 0
-            incoming[u] = None
-        for v, _ in outbox:
-            transmitting[v] = False
-        return candidates
+        fire_slots, row = np.unique(run.slot, return_inverse=True)
+        chan = self._channels(fire_slots)
+        k_of, listener = self._touches(run)
+        r = row[k_of]
+        same = chan[r, np.asarray(run.sender)[k_of]] == chan[r, listener]
+        return self._rows(run, k_of[same], listener[same])
+
+    def rewind(self, end: int) -> None:
+        """Redraw the hop stream up to the cut: rewind to before the run's
+        draw, then draw the rows of the fire slots before ``end`` again."""
+        keep = int(np.searchsorted(self._hop_slots, end))
+        if keep < self._hop_slots.size and self._hop_mark is not None:
+            self._hop_rng.rewind(self._hop_mark)
+            if keep:
+                self._hop_rng.integers(0, self.channels, size=(keep, self._n))
 
 
 class SinrPhy(PhyModel):
@@ -461,13 +821,13 @@ class SinrPhy(PhyModel):
     - **Capture effect.**  A listener touched by several transmitting
       neighbors decodes anyway if exactly one of them clears the
       threshold (e.g. one much closer than the rest) — reported as
-      ``count == 1`` with the decoded message.  Zero decodable signals
-      report the touch count with no message (a collision/fade, silent
-      at the protocol level, like Sect. 2's rule); with
-      ``threshold >= 1`` at most one signal can ever clear the bar
-      (two would each need more than half the total received power), so
-      raising the threshold only ever removes receptions — the
-      monotonicity property the Hypothesis suite pins.
+      ``count == 1`` with the decoded transmission.  Zero decodable
+      signals report the touch count with no transmission (a
+      collision/fade, silent at the protocol level, like Sect. 2's
+      rule); with ``threshold >= 1`` at most one signal can ever clear
+      the bar (two would each need more than half the total received
+      power), so raising the threshold only ever removes receptions —
+      the monotonicity property the Hypothesis suite pins.
 
     The model consumes **no randomness** — geometry and the slot's
     transmission set decide everything — so every clause of the module
@@ -511,49 +871,58 @@ class SinrPhy(PhyModel):
                 f"deployment {sim.deployment.kind!r} has none"
             )
         self._pos = np.asarray(sim.deployment.positions, dtype=np.float64)
-        # Per-listener indices into the slot's outbox (neighbor
-        # transmitters only), reset sparsely like _recv_count.
-        self._touching: list[list[int] | None] = [None] * sim.deployment.n
 
-    def resolve(
-        self, slot: int, outbox: list[tuple[int, Message]]
-    ) -> list[Candidate]:
-        """Per-listener SINR judgement of the slot's transmission set.
+    def resolve(self, slot: int, run: FireRun) -> Candidates:
+        """Per-slot SINR judgement of each fire slot of ``run``."""
+        rows: list[tuple[int, int, int, int, bool]] = []
+        slots = _listed(run.slot)
+        senders = _listed(run.sender)
+        a = 0
+        while a < len(slots):
+            b = a + 1
+            while b < len(slots) and slots[b] == slots[a]:
+                b += 1
+            self._judge(slots[a], senders, a, b, rows)
+            a = b
+        if not rows:
+            return self._rows(run, _NONE, _NONE)
+        s, u, count, tx, eligible = zip(*rows)
+        return Candidates(
+            run,
+            np.array(s, dtype=np.int64),
+            np.array(u, dtype=np.int64),
+            np.array(count, dtype=np.int64),
+            np.array(tx, dtype=np.int64),
+            np.array(eligible, dtype=bool),
+        )
+
+    def _judge(
+        self,
+        slot: int,
+        senders: list[int],
+        a: int,
+        b: int,
+        rows: list[tuple[int, int, int, int, bool]],
+    ) -> None:
+        """Append slot ``slot``'s rows, whose transmissions are ``a..b-1``.
 
         Transmissions are scattered onto graph neighbors, recording per
-        listener *which* outbox rows touch it (``_recv_count`` holds the
-        counts); then each touched listener (ascending) gets one row:
-        exactly one neighbor signal above threshold decodes, otherwise
-        the row is a collision/fade carrying the decodable (or touch)
-        count.  The sparse touch state is reset as rows are emitted."""
-        if not outbox:
-            return []
-        recv_count = self._recv_count
-        touching = self._touching
-        indptr, indices = self._indptr, self._indices
-        touched: list[int] = []
-        for k, (v, _msg) in enumerate(outbox):
-            for u in indices[indptr[v] : indptr[v + 1]]:
-                if recv_count[u] == 0:
-                    touched.append(u)
-                    touching[u] = [k]
-                else:
-                    rows = touching[u]
-                    assert rows is not None
-                    rows.append(k)
-                recv_count[u] += 1
-        touched.sort()
-        transmitting = self._transmitting
-        nodes = self._nodes
+        listener *which* transmissions touch it; then each touched
+        listener (ascending) gets one row: exactly one neighbor signal
+        above threshold decodes, otherwise the row is a collision/fade
+        carrying the decodable (or touch) count."""
+        neighbors = self._neighbors
+        touching: dict[int, list[int]] = {}
+        for k in range(a, b):
+            for u in neighbors[senders[k]].tolist():
+                touching.setdefault(u, []).append(k)
         pos = self._pos
         alpha, noise, threshold, power = (
             self.alpha, self.noise, self.threshold, self.power,
         )
-        for v, _ in outbox:
-            transmitting[v] = True
-        tx_pos = pos[[v for v, _ in outbox]]  # (m, d): all transmitters
-        candidates: list[Candidate] = []
-        for u in touched:
+        on_air = set(senders[a:b])
+        tx_pos = pos[senders[a:b]]  # (m, d): all transmitters of the slot
+        for u in sorted(touching):
             delta = tx_pos - pos[u]
             # Euclidean in any position dimensionality (UBG deployments
             # may embed in more than 2 dims), clamped below min_dist.
@@ -562,32 +931,25 @@ class SinrPhy(PhyModel):
             )
             gains = power * dist ** -alpha
             total = float(gains.sum())
-            rows = touching[u]
-            assert rows is not None
             decodable = -1
             decodable_count = 0
-            for k in rows:
-                g = float(gains[k])
+            for k in touching[u]:
+                g = float(gains[k - a])
                 # Interference is everything else on the air, clamped at
                 # zero against float cancellation in ``total - g``.
                 interference = max(total - g, 0.0)
                 if g >= threshold * (noise + interference):
                     decodable_count += 1
                     decodable = k
-            eligible = nodes[u].awake and not transmitting[u]
+            eligible = bool(self._wake_slots[u] <= slot) and u not in on_air
             if decodable_count == 1:
-                candidates.append((u, 1, outbox[decodable][1], eligible))
+                rows.append((slot, u, 1, decodable, eligible))
             elif decodable_count == 0:
                 # All touching signals drowned: silent at the protocol
                 # level, recorded as a collision with the touch count.
-                candidates.append((u, int(recv_count[u]), None, eligible))
+                rows.append((slot, u, len(touching[u]), -1, eligible))
             else:
-                candidates.append((u, decodable_count, None, eligible))
-            recv_count[u] = 0
-            touching[u] = None
-        for v, _ in outbox:
-            transmitting[v] = False
-        return candidates
+                rows.append((slot, u, decodable_count, -1, eligible))
 
 
 #: name -> PHY factory registry; every factory takes the channel count
@@ -691,13 +1053,15 @@ class SlotSteppedSimulator(ABC):
         ``block`` is the execution granularity: slots are advanced in
         chunks of up to ``block`` via :meth:`step_block`.  Results are
         identical at any block size; on simulators with a bulk mode a
-        larger block lets runs of empty slots advance without per-slot
+        larger block lets spans of slots advance without per-slot
         Python work.  With ``block > 1``, ``stop_when`` must be a
         function of *simulation state* (node state, trace counters such
-        as ``trace.decided``) only: state is frozen across an empty run,
-        so the predicate is evaluated once per run and localized to the
-        exact check slot, rather than being re-called at every boundary
-        the run spans.
+        as ``trace.decided``) that changes only when some node's send
+        probability, event slot or delivery key does: that state is
+        frozen across a span until a delivery changes it, so the
+        predicate is evaluated once per span and localized to the exact
+        check slot, rather than being re-called at every boundary the
+        span covers.
         """
         if check_every < 1:
             raise ValueError(f"check_every must be >= 1, got {check_every}")

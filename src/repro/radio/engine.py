@@ -23,28 +23,27 @@ injection, delivery, and metrics emission.  This module owns phases
 Performance: sending probabilities in the algorithm are ``1/(kappa_2 *
 Delta)`` (non-leaders) or ``1/kappa_2`` (leaders), so the expected number
 of transmitters per slot is small even in large networks.  The default
-PHY is therefore *transmitter-centric*: it touches only the
-neighborhoods of actual transmitters (sparse scatter-add into a
-persistent count array that is surgically reset afterwards) instead of
-scanning all ``n`` nodes — the "compute on what's hot" advice from the
-HPC guides.
+PHY is therefore *transmitter-centric*: it expands only the
+neighborhoods of actual transmitters instead of scanning all ``n``
+nodes — the "compute on what's hot" advice from the HPC guides.
 
-Two per-slot execution paths share those channel semantics:
+Two transmission-collection paths share those channel semantics:
 
 - the **compatibility path** calls :meth:`ProtocolNode.step` on every
   awake node (any node class works — baselines, the executable-spec
-  reference, ad-hoc test nodes);
+  reference, ad-hoc test nodes); each slot with transmissions is a
+  fire run of one slot;
 - the **vectorized fast path** activates automatically when *every* node
-  implements the batched interface (``tx_prob`` / ``next_event_slot`` /
-  ``on_event`` / ``emit``, see :class:`~repro.radio.node.ProtocolNode`
-  docs and :class:`~repro.core.vector_node.BernoulliColoringNode`).  The
-  engine then keeps a dense send-probability vector, draws the
-  transmit-decision Bernoullis of all nodes in a single
-  ``rng.random(n)`` call per slot, and only pays Python-call cost for
-  the rare nodes that transmit, receive, or cross a scheduled state
-  event.  Adjacency is precomputed into CSR-style ``indptr``/``indices``
-  arrays at construction so the per-slot path never touches Python
-  lists of arrays.
+  implements the batched interface (see
+  :class:`~repro.radio.node.ProtocolNode` and
+  :class:`~repro.core.vector_node.BernoulliColoringNode`).  The engine
+  keeps dense per-node send probabilities, event slots and delivery
+  keys, draws the transmit Bernoullis of all nodes for a span of slots
+  in one segment draw, and resolves and delivers every fire slot drawn
+  under one state in one :class:`~repro.radio.channel.FireRun`.  It
+  pays Python-call cost only for deliveries the key filter lets
+  through, the senders whose messages those deliveries need, and
+  (rare) state events.
 
 Determinism contract: the protocol stream (``rng``) is consumed in slot
 order by protocol decisions only.  Loss injection draws from a *spawned
@@ -74,6 +73,7 @@ from repro.graphs.deployment import Deployment
 from repro.radio.channel import (
     ChannelCore,
     CollisionPhy,
+    FireRun,
     PhyModel,
     SimulationResult,
     SlotSteppedSimulator,
@@ -187,7 +187,6 @@ class RadioSimulator(SlotSteppedSimulator):
         self.phy.bind(self)
 
         self.slot = 0
-        self._neighbors = deployment.neighbors
         # Wake order: nodes grouped by wake slot for O(1) wake processing.
         order = np.argsort(self.wake_slots, kind="stable")
         self._wake_order = order
@@ -197,25 +196,35 @@ class RadioSimulator(SlotSteppedSimulator):
         # index into _wake_order every slot.
         self._next_wake_slot = int(self.wake_slots[order[0]]) if n else _FAR
         self._awake: list[int] = []
+        self._append_metrics = self.trace.channel_metrics.append
         # Vectorized fast path (engaged only when every node opts in):
-        # dense per-node send probabilities and next scheduled event slots,
-        # refreshed whenever a node's state can have changed.
+        # dense per-node send probabilities, next scheduled event slots
+        # and delivery keys, refreshed whenever a node's state can have
+        # changed.
         batched = n > 0 and all(hasattr(node, "tx_prob") for node in self.nodes)
         if vectorized is None:
             self.vectorized = batched
         elif vectorized and not batched:
             raise ValueError(
                 "vectorized=True requires every node to implement the "
-                "batched interface (tx_prob/next_event_slot/on_event/emit)"
+                "batched interface (tx_prob/next_event_slot/on_event/emit/"
+                "listen_key/message_keys)"
             )
         else:
             self.vectorized = bool(vectorized)
         if self.vectorized:
             self._p = np.zeros(n, dtype=np.float64)
             self._evt = np.full(n, _FAR, dtype=np.int64)
+            # Delivery keys (listen key; the two message keys), handed to
+            # the core's delivery filter.
+            self._keys = (
+                np.full(n, -1, dtype=np.int64),
+                np.full(n, -1, dtype=np.int64),
+                np.full(n, -1, dtype=np.int64),
+            )
             # State generation: bumped whenever any node's cached send
-            # probability or event slot actually changes.  The block-
-            # stepped path keys its fire-candidate caches off this.
+            # probability, event slot or key actually changes.  A fire run
+            # is drawn under one generation and cut where it moves.
             self._gen = 0
             # Cached minimum of _evt, maintained stale-low-safe: _refresh
             # lowers it eagerly, and it is recomputed exactly whenever due
@@ -232,13 +241,13 @@ class RadioSimulator(SlotSteppedSimulator):
             self._pa = np.empty(0, dtype=np.float64)
             self._active_gen = -1
             self._draw_buf: np.ndarray | None = None  # step_block segment buffer
-            # Hot-path bound methods (the generator, bit generator, and
-            # metrics object are fixed for the simulator's lifetime):
-            # saves two attribute chains per slot on the per-slot path.
+            # Hot-path bound methods (the generator and bit generator are
+            # fixed for the simulator's lifetime): saves two attribute
+            # chains per slot on the per-slot path.
             self._rand = self.rng.generator.random
             self._advance = self.rng.generator.bit_generator.advance
-            self._append_metrics = self.trace.channel_metrics.append
             self.core.on_deliver = self._on_deliver
+            self.core.keys = self._keys
 
     # ------------------------------------------------------------------
     @property
@@ -246,24 +255,39 @@ class RadioSimulator(SlotSteppedSimulator):
         """Whether every node's wake slot has passed."""
         return self._next_wake >= len(self._wake_order)
 
-    def _refresh(self, v: int) -> None:
-        """Re-read node ``v``'s send probability and next event slot
-        (fast path bookkeeping after wake / event / delivery).  Bumps the
-        state generation only on an actual change, so the block-stepped
-        path invalidates its fire-candidate cache exactly when needed."""
+    def _refresh(self, v: int) -> bool:
+        """Re-read node ``v``'s send probability, next event slot and
+        delivery keys (fast path bookkeeping after wake / event /
+        delivery).  Bumps the state generation, and returns ``True``,
+        only on an actual change."""
         node = self.nodes[v]
         p = node.tx_prob()
         e = node.next_event_slot()
-        if p != self._p[v] or e != self._evt[v]:
+        listen = node.listen_key()
+        send_a, send_b = node.message_keys()
+        keys = self._keys
+        if (
+            p != self._p[v]
+            or e != self._evt[v]
+            or listen != keys[0][v]
+            or send_a != keys[1][v]
+            or send_b != keys[2][v]
+        ):
             self._p[v] = p
             self._evt[v] = e
+            keys[0][v] = listen
+            keys[1][v] = send_a
+            keys[2][v] = send_b
             self._gen += 1
             if e < self._evt_min:
                 self._evt_min = e
+            return True
+        return False
 
-    def _on_deliver(self, u: int, msg: Message) -> None:
-        """Core delivery hook: a delivery can change a node's state."""
-        self._refresh(int(u))
+    def _on_deliver(self, u: int, msg: Message, report: bool | None) -> bool:
+        """Core delivery hook: a node whose ``deliver`` did not report
+        ``False`` is re-read; a real change cuts the fire run."""
+        return report is not False and self._refresh(u)
 
     def _wake_due(self, t: int) -> None:
         """Phase 1: wake nodes whose wake slot is ``t``."""
@@ -290,6 +314,23 @@ class RadioSimulator(SlotSteppedSimulator):
             else _FAR
         )
 
+    def _events_due(self, t: int) -> None:
+        """Phase 2a (fast path): apply every scheduled event due at ``t``."""
+        evt = self._evt
+        for v in np.nonzero(evt <= t)[0]:
+            self.nodes[v].on_event(t)
+            self._refresh(int(v))
+        self._evt_min = int(evt.min())
+
+    def _update_active(self) -> np.ndarray:
+        """The fire-candidate columns (``p > 0``) under the current state
+        generation, rebuilt only when it moved."""
+        if self._active_gen != self._gen:
+            self._active = np.nonzero(self._p > 0.0)[0]
+            self._pa = self._p[self._active]
+            self._active_gen = self._gen
+        return self._active
+
     def _collect_classic(self, t: int) -> list[tuple[int, Message]]:
         """Phase 2 (compatibility path): per-node protocol steps."""
         outbox: list[tuple[int, Message]] = []
@@ -302,7 +343,7 @@ class RadioSimulator(SlotSteppedSimulator):
                 record_tx(t, v, msg, outbox)
         return outbox
 
-    def _collect_vectorized(self, t: int) -> list[int]:
+    def _collect_vectorized(self, t: int) -> np.ndarray:
         """Phase 2 (fast path): scheduled events, then one batched
         Bernoulli draw for all nodes' transmit decisions; returns the
         firing node ids in ascending order.
@@ -317,19 +358,10 @@ class RadioSimulator(SlotSteppedSimulator):
         discarding, so the stream contract (one ``random(n)``'s worth of
         variates per slot, in slot order) is unchanged.
         """
-        nodes = self.nodes
-        n = len(nodes)
+        n = len(self.nodes)
         if self._evt_min <= t:
-            evt = self._evt
-            for v in np.nonzero(evt <= t)[0]:
-                nodes[v].on_event(t)
-                self._refresh(int(v))
-            self._evt_min = int(evt.min())
-        if self._active_gen != self._gen:
-            self._active = np.nonzero(self._p > 0.0)[0]
-            self._pa = self._p[self._active]
-            self._active_gen = self._gen
-        active = self._active
+            self._events_due(t)
+        active = self._update_active()
         rng = self.rng
         rng.calls += 1
         rng.draws += n
@@ -338,78 +370,55 @@ class RadioSimulator(SlotSteppedSimulator):
             # the slot's variates without generating them (skip with the
             # meter accounting already applied above).
             self._advance(n)
-            return []
+            return active
         # Metered draw, with the proxy's dispatch inlined (this is the
         # hottest line of the per-slot path): identical stream, identical
         # draw accounting.
         u = self._rand(n)
         if active.size == n:
-            fire: list[int] = np.nonzero(u < self._p)[0].tolist()
-        else:
-            fire = active[u.take(active) < self._pa].tolist()
-        return fire
+            return np.nonzero(u < self._p)[0]
+        return active[u.take(active) < self._pa]
 
-    def _fire(self, t: int, fire: list[int]) -> None:
-        """Run fire slot ``t`` of the fast path: each firing node (in
-        ascending order) emits and its transmission is recorded, then
-        the slot is resolved, delivered, and traced by :meth:`_resolve`.
-        The fast path consumes exactly ``n`` protocol draws per slot."""
-        nodes = self.nodes
-        record_tx = self.core.record_tx
-        outbox: list[tuple[int, Message]] = []
-        for v in fire:
-            msg = nodes[v].emit(t)
-            if msg is not None:
-                record_tx(t, v, msg, outbox)
-        self._resolve(t, outbox, len(nodes))
-
-    def _resolve(
-        self, t: int, outbox: list[tuple[int, Message]], protocol_draws: int
-    ) -> None:
-        """Phases 3-4 of slot ``t`` (both paths): the PHY resolves the
-        outbox, the core delivers, and the slot's metrics row records
-        ``protocol_draws`` plus the loss draws delivery consumed."""
-        core = self.core
-        loss0 = core.loss_draws
-        delivered, collided, lost = core.deliver(t, self.phy.resolve(t, outbox))
-        self.trace.channel(
-            t,
-            tx=len(outbox),
-            rx=delivered,
-            collisions=collided,
-            lost=lost,
-            protocol_draws=protocol_draws,
-            loss_draws=core.loss_draws - loss0,
-        )
+    def _fire_run(self, run: FireRun) -> int:
+        """Phases 3-4 of a fire run (every path): the PHY resolves it,
+        the core delivers and records it; returns the end of the
+        processed span.  A cut before ``run.t1`` hands the PHY's side
+        stream back to the cut."""
+        end = self.core.deliver(run.t0, self.phy.resolve(run.t0, run))
+        if end < run.t1:
+            self.phy.rewind(end)
+        return end
 
     def step(self) -> None:
         """Advance the network by one slot (and record its channel
         metrics: transmitters, deliveries, collisions, injected losses,
-        and the RNG draws each stream consumed)."""
+        and the RNG draws each stream consumed).
+
+        A slot with transmissions is a fire run of one slot; an empty
+        slot skips the PHY and the core (channel contract item 4) and
+        appends its all-zero metrics row directly."""
         t = self.slot
+        n = len(self.nodes)
         if self.vectorized:
             if self._next_wake_slot <= t:
                 self._wake_due(t)
             fire = self._collect_vectorized(t)
-            if fire:
-                self._fire(t, fire)
+            if fire.size:
+                self._fire_run(
+                    FireRun(t, t + 1, [t] * fire.size, fire.tolist(), n, nodes=self.nodes)
+                )
             else:
-                # Empty-slot laziness (channel contract item 4): with no
-                # transmissions, resolve() is draw-free and deliver() has
-                # no candidates, so skip both — exactly what the
-                # block-stepped path does across empty spans.  The fast
-                # path consumes exactly n protocol draws per slot and no
-                # loss draws, so the metrics row is appended directly
-                # (fire slots still go through the slot-aligned
-                # trace.channel, which catches any drift).
-                self._append_metrics(0, 0, 0, 0, len(self.nodes), 0)
-            self.slot = t + 1
-            return
-        draws0 = self.rng.draws
-        if self._next_wake_slot <= t:
-            self._wake_due(t)
-        outbox = self._collect_classic(t)
-        self._resolve(t, outbox, self.rng.draws - draws0)
+                self._append_metrics(0, 0, 0, 0, n, 0)
+        else:
+            draws0 = self.rng.draws
+            if self._next_wake_slot <= t:
+                self._wake_due(t)
+            outbox = self._collect_classic(t)
+            draws = self.rng.draws - draws0
+            if outbox:
+                self._fire_run(FireRun.recorded(t, outbox, draws))
+            else:
+                self._append_metrics(0, 0, 0, 0, draws, 0)
         self.slot = t + 1
 
     # -- block-stepped execution (vectorized fast path only) -------------
@@ -419,27 +428,34 @@ class RadioSimulator(SlotSteppedSimulator):
         stop_when: Callable[[SlotSteppedSimulator], bool] | None = None,
         check_every: int = 16,
     ) -> bool:
-        """Advance up to ``count`` slots, paying Python per-slot cost only
-        at *interesting* slots (a wake, a scheduled event, or a transmit
-        Bernoulli that fires).
+        """Advance up to ``count`` slots, paying Python cost per *span*
+        of frozen state rather than per slot.
 
         Trajectory- and metrics-identical to ``count`` calls of
-        :meth:`step`: the transmit uniforms are drawn in segments
-        ``rng.random((m, n))``, which consumes the PCG64 stream exactly
-        like ``m`` sequential ``rng.random(n)`` calls, and spans in which
-        every send probability is zero advance the stream via
-        :meth:`~repro._util.RngMeter.skip` (state-identical to generating
-        and discarding).  Runs of empty slots emit their all-zero channel
-        metrics in one bulk append.
+        :meth:`step`.  Wakes and scheduled events end a span; within it
+        no node's send probability, event slot or delivery key changes
+        except through deliveries.  Per span:
+
+        - the transmit uniforms come from a segment draw
+          ``rng.random((m, n))``, which consumes the PCG64 stream exactly
+          like ``m`` sequential ``rng.random(n)`` calls, or — when every
+          send probability is zero — from
+          :meth:`~repro._util.RngMeter.skip`;
+        - every fire slot of the span is resolved and delivered in one
+          :meth:`_fire_run`, cut after the first slot whose deliveries
+          change the state (the next span resumes there, reusing the
+          segment's remaining rows); runs of empty slots emit their
+          all-zero metrics in bulk.
 
         Stop predicates must be state-only (see
-        :meth:`SlotSteppedSimulator.run`); inside an empty span the state
-        is frozen, so the predicate is evaluated once and, if true, the
-        stop is localized to the exact first ``check_every`` boundary the
-        per-slot loop would have stopped at.  After such an early stop the
-        *protocol trajectory and all recorded metrics* match the per-slot
-        run exactly, but uniforms drawn for the never-simulated remainder
-        of the current segment leave the generator object further along —
+        :meth:`SlotSteppedSimulator.run`): the predicate is evaluated
+        once per span, before its run, and a true result is localized to
+        the exact first ``check_every`` boundary the per-slot loop would
+        have stopped at; after a cut it is evaluated again if the cut
+        lands on a boundary.  After such an early stop the *protocol
+        trajectory and all recorded metrics* match the per-slot run
+        exactly, but uniforms drawn for the never-simulated remainder of
+        the current segment leave the generator object further along —
         observable only if the caller keeps stepping the same simulator
         past a stop.
         """
@@ -449,17 +465,11 @@ class RadioSimulator(SlotSteppedSimulator):
         n = len(nodes)
         rng = self.rng
         trace = self.trace
-        p = self._p
-        evt = self._evt
         t = self.slot
         end = t + count
 
         U: np.ndarray | None = None  # uniforms for absolute slots [seg_lo, seg_hi)
         seg_lo = seg_hi = t
-        hits: np.ndarray | None = None  # ascending candidate fire slots, cover to hits_hi
-        hits_hi = t
-        gen = -1  # state generation `hits` was computed at (forces a
-        # recompute before first use)
 
         def boundary(lo: int, hi: int) -> int | None:
             """First stop-check slot counter in [lo, hi], or None."""
@@ -472,26 +482,12 @@ class RadioSimulator(SlotSteppedSimulator):
             if self._next_wake_slot <= t:
                 self._wake_due(t)
             if self._evt_min <= t:
-                for v in np.nonzero(evt <= t)[0]:
-                    nodes[v].on_event(t)
-                    self._refresh(int(v))
-                self._evt_min = int(evt.min())
-            # Fire-candidate columns, shared with the per-slot path and
-            # rebuilt only when the state generation moved.
-            if self._active_gen != self._gen:
-                self._active = np.nonzero(p > 0.0)[0]
-                self._pa = p[self._active]
-                self._active_gen = self._gen
-            if gen != self._gen:
-                gen = self._gen
-                hits = None
-            active = self._active
-            ne = self._evt_min
-            nw = self._next_wake_slot
-            # State is constant over [t, bound): no wake or scheduled
-            # event falls strictly inside, so p/evt can only change at a
+                self._events_due(t)
+            active = self._update_active()
+            # State is frozen over [t, bound): no wake or scheduled event
+            # falls strictly inside, so p/evt/keys can only change at a
             # fire slot (via deliveries).
-            bound = min(nw, ne, end)
+            bound = min(self._next_wake_slot, self._evt_min, end)
             if bound <= t:
                 bound = t + 1  # a node left its event due; re-fires next slot
             # Uniforms for [t, bound): reuse the buffered segment, draw a
@@ -519,54 +515,39 @@ class RadioSimulator(SlotSteppedSimulator):
                     buf = self._draw_buf = np.empty((_DRAW_CHUNK, n))
                 U = rng.fill(buf[:m])
                 seg_lo, seg_hi = t, t + m
-                hits = None
             lim = min(bound, seg_hi)
-            # Candidate fire slots over [t, lim) under the current p.
-            if hits is None or hits_hi < lim:
-                sub = U[t - seg_lo : lim - seg_lo]
-                if active.size == n:
-                    rows = (sub < p).any(axis=1)
-                else:
-                    rows = (sub[:, active] < self._pa).any(axis=1)
-                hits = np.nonzero(rows)[0] + t
-                hits_hi = lim
-            if hits.size == 0 or hits[0] >= lim:
-                f = lim  # whole span [t, lim) is empty
-            else:
-                f = int(hits[0])
-            if f > t:
-                # Empty span [t, f): state frozen, so one predicate
-                # evaluation covers every check boundary inside it.
-                if stop_when is not None and self.all_woken:
-                    s = boundary(t + 1, f)
-                    if s is not None:
-                        self.slot = s
-                        if stop_when(self):
-                            trace.channel_empty(t, s - t, n)
-                            return True
-                trace.channel_empty(t, f - t, n)
-                t = f
-                if f == lim:
-                    if t >= seg_hi:
-                        U = None
-                    continue
-                self.slot = t
-            # Full per-slot machinery for the fire slot t.
-            urow = U[t - seg_lo]
+            # State is frozen over [t, lim) until a delivery changes it, so
+            # one predicate evaluation decides every check boundary before
+            # that; a true result ends the span at the first boundary.
+            stop = False
+            if stop_when is not None and self.all_woken:
+                s = boundary(t + 1, lim)
+                if s is not None:
+                    self.slot = s
+                    if stop_when(self):
+                        stop, lim = True, s
+            # Every (slot, transmitter) pair of [t, lim) under the frozen p.
+            sub = U[t - seg_lo : lim - seg_lo]
             if active.size == n:
-                fire = np.nonzero(urow < p)[0]
+                rows, senders = np.nonzero(sub < self._p)
             else:
-                fire = active[urow[active] < self._pa]
-            self._fire(t, fire.tolist())
-            t += 1
+                rows, cols = np.nonzero(sub[:, active] < self._pa)
+                senders = active[cols]
             self.slot = t
-            hits = hits[1:]
-            if (
-                stop_when is not None
-                and self.all_woken
-                and t % check_every == 0
-                and stop_when(self)
-            ):
-                return True
+            gen = self._gen
+            if rows.size:
+                lim = self._fire_run(FireRun(t, lim, rows + t, senders, n, nodes=nodes))
+            else:
+                trace.channel_empty(t, lim - t, n)
+            t = lim
+            self.slot = t
+            if stop_when is not None and self.all_woken and t % check_every == 0:
+                if self._gen != gen:
+                    if stop_when(self):
+                        return True
+                elif stop:
+                    return True
+            if t >= seg_hi:
+                U = None
         self.slot = end
         return False

@@ -10,8 +10,8 @@ final coloring.  :class:`TraceRecorder` collects:
   omniscient trace can);
 - cheap always-on **per-slot channel metrics** (:class:`ChannelMetrics`):
   transmitters, deliveries, collisions, injected losses, and RNG draws
-  consumed per stream in each slot, appended once per slot by the
-  engine.  These are the conformance harness's counters-first defense
+  consumed per stream in each slot, one row per slot (appended in bulk
+  for runs of slots).  These are the conformance harness's counters-first defense
   against measurement bugs (e.g. the PR 1 slot-count drift): a per-slot
   integer that disagrees between two engine paths localizes the bug to
   a slot without event-level archaeology;
@@ -26,6 +26,8 @@ events, and analysis replays the ordered event list.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -66,8 +68,9 @@ class ChannelMetrics:
     - ``loss_draws`` — variates consumed from the loss-injection stream
       during the slot.
 
-    Appending six ``int`` values per slot keeps this cheap enough to be
-    always on; :meth:`as_arrays` converts to numpy for analysis.
+    Each column is a compact ``array("i")`` (4 bytes per slot), so the
+    always-on record of a long run stays small; appends stay cheap, and
+    :meth:`as_arrays` converts to numpy for analysis.
     """
 
     FIELDS = ("tx", "rx", "collisions", "lost", "protocol_draws", "loss_draws")
@@ -75,12 +78,12 @@ class ChannelMetrics:
     __slots__ = ("tx", "rx", "collisions", "lost", "protocol_draws", "loss_draws")
 
     def __init__(self) -> None:
-        self.tx: list[int] = []
-        self.rx: list[int] = []
-        self.collisions: list[int] = []
-        self.lost: list[int] = []
-        self.protocol_draws: list[int] = []
-        self.loss_draws: list[int] = []
+        self.tx = array("i")
+        self.rx = array("i")
+        self.collisions = array("i")
+        self.lost = array("i")
+        self.protocol_draws = array("i")
+        self.loss_draws = array("i")
 
     def append(
         self,
@@ -111,13 +114,33 @@ class ChannelMetrics:
         """
         if count <= 0:
             return
-        zeros = [0] * count
+        zeros = array("i", [0]) * count
         self.tx.extend(zeros)
         self.rx.extend(zeros)
         self.collisions.extend(zeros)
         self.lost.extend(zeros)
-        self.protocol_draws.extend([protocol_draws] * count)
+        self.protocol_draws.extend(array("i", [protocol_draws]) * count)
         self.loss_draws.extend(zeros)
+
+    def extend(
+        self,
+        tx: Sequence[int],
+        rx: Sequence[int],
+        collisions: Sequence[int],
+        lost: Sequence[int],
+        protocol_draws: Sequence[int],
+        loss_draws: Sequence[int],
+    ) -> None:
+        """Record consecutive slots in one append per column (the rows of
+        a fire run, written by :meth:`~repro.radio.channel.ChannelCore.
+        deliver`); every sequence (a list or an ``array("i")``) holds one
+        entry per slot."""
+        self.tx.extend(tx)
+        self.rx.extend(rx)
+        self.collisions.extend(collisions)
+        self.lost.extend(lost)
+        self.protocol_draws.extend(protocol_draws)
+        self.loss_draws.extend(loss_draws)
 
     def __len__(self) -> int:
         """Number of recorded slots."""
@@ -191,13 +214,15 @@ class TraceRecorder:
 
     # -- engine-side hooks ---------------------------------------------------
     def tx(self, slot: int, node: int, msg: Any) -> None:
-        """Count (and at level 2, log) a transmission."""
+        """Count (and at level 2, log) a transmission; ``msg`` may be
+        ``None`` below level 2, where it is not logged."""
         self.tx_count[node] += 1
         if self.level >= 2:
             self.events.append(TraceEvent(slot, node, "tx", {"msg": msg}))
 
     def rx(self, slot: int, node: int, msg: Any) -> None:
-        """Count (and at level 2, log) a reception."""
+        """Count (and at level 2, log) a reception; ``msg`` may be
+        ``None`` below level 2, where it is not logged."""
         self.rx_count[node] += 1
         if self.level >= 2:
             self.events.append(TraceEvent(slot, node, "rx", {"msg": msg}))
@@ -210,29 +235,30 @@ class TraceRecorder:
                 TraceEvent(slot, node, "collision", {"senders": senders})
             )
 
-    def channel(
+    def channels(
         self,
         slot: int,
-        tx: int,
-        rx: int,
-        collisions: int,
-        lost: int,
-        protocol_draws: int,
-        loss_draws: int,
+        tx: Sequence[int],
+        rx: Sequence[int],
+        collisions: Sequence[int],
+        lost: Sequence[int],
+        protocol_draws: Sequence[int],
+        loss_draws: Sequence[int],
     ) -> None:
-        """Record one slot's channel metrics.  ``slot`` must advance by
-        one per call (the metrics arrays are slot-indexed)."""
+        """Record the metrics of consecutive slots starting at ``slot``,
+        one list entry per slot.  ``slot`` must be the next unrecorded
+        slot (the metrics lists are slot-indexed)."""
         if slot != len(self.channel_metrics):
             raise ValueError(
                 f"channel metrics for slot {slot} after "
                 f"{len(self.channel_metrics)} recorded slots"
             )
-        self.channel_metrics.append(tx, rx, collisions, lost, protocol_draws, loss_draws)
+        self.channel_metrics.extend(tx, rx, collisions, lost, protocol_draws, loss_draws)
 
     def channel_empty(self, slot: int, count: int, protocol_draws: int) -> None:
         """Record ``count`` empty slots starting at ``slot`` in one bulk
         append (block-stepped engine; same slot-alignment contract as
-        :meth:`channel`)."""
+        :meth:`channels`)."""
         if slot != len(self.channel_metrics):
             raise ValueError(
                 f"channel metrics for slot {slot} after "

@@ -59,7 +59,12 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.graphs.deployment import Deployment
-from repro.radio.channel import ChannelCore, SlotSteppedSimulator
+from repro.radio.channel import (
+    Candidates,
+    ChannelCore,
+    FireRun,
+    SlotSteppedSimulator,
+)
 from repro.radio.messages import Message
 from repro.radio.node import ProtocolNode
 from repro.radio.trace import TraceRecorder
@@ -168,9 +173,9 @@ class UnalignedRadioSimulator(SlotSteppedSimulator):
         # transmission, which all nodes in this library do.)
         self._just_delivered: list[Message | None] = [None] * n
         self._delivered_now: list[tuple[int, Message]] = []
-        # Metrics lag: slot t's tx count and protocol draws, emitted with
-        # slot t's outcomes when step t+1 finalizes it.
-        self._pending_tx = 0
+        # Metrics lag: slot t's transmitters and protocol draws, emitted
+        # with slot t's outcomes when step t+1 finalizes it.
+        self._pending_senders: list[int] = []
         self._pending_draws = 0
 
     # ------------------------------------------------------------------
@@ -180,9 +185,11 @@ class UnalignedRadioSimulator(SlotSteppedSimulator):
             return True
         return bool((self.wake_slots <= self.slot).all())
 
-    def _on_deliver(self, u: int, msg: Message) -> None:
-        """Core delivery hook: track decodes for double-overlap dedup."""
+    def _on_deliver(self, u: int, msg: Message, report: bool | None) -> bool:
+        """Core delivery hook: track decodes for double-overlap dedup
+        (never cuts: every run here is one slot)."""
         self._delivered_now.append((u, msg))
+        return False
 
     def step(self) -> None:
         """Execute every node's slot ``t``, then finalize slot ``t-1``
@@ -222,18 +229,8 @@ class UnalignedRadioSimulator(SlotSteppedSimulator):
         step_draws = rng.draws - draws0
 
         if t >= 1:
-            loss0 = self.core.loss_draws
-            delivered, collided, lost = self._finalize(prev, t - 1)
-            self.trace.channel(
-                t - 1,
-                tx=self._pending_tx,
-                rx=delivered,
-                collisions=collided,
-                lost=lost,
-                protocol_draws=self._pending_draws,
-                loss_draws=self.core.loss_draws - loss0,
-            )
-        self._pending_tx = len(outbox)
+            self._finalize(prev, t - 1)
+        self._pending_senders = [v for v, _ in outbox]
         self._pending_draws = step_draws
 
         # Rotate: prev <- cur, cur <- nxt, nxt <- recycled prev.
@@ -241,32 +238,53 @@ class UnalignedRadioSimulator(SlotSteppedSimulator):
         self._prev, self._cur, self._nxt = self._cur, self._nxt, prev
         self.slot = t + 1
 
-    def _finalize(self, buf: _SlotBuffer, k: int) -> tuple[int, int, int]:
+    def _finalize(self, buf: _SlotBuffer, k: int) -> None:
         """Resolve slot ``k``'s contribution buffer through the core.
 
         Builds the candidate rows (ascending listener order, as the PHY
         contract demands) and lets :meth:`ChannelCore.deliver` apply the
-        delivery law and loss injection.  A listener is eligible iff it
-        was awake in slot ``k`` and did not itself transmit then; the
-        second overlap of an already-decoded transmission is dropped
-        before the core sees it (it must neither re-deliver nor consume
-        a loss draw for a decode that already happened).
+        delivery law and loss injection and write slot ``k``'s metrics
+        row.  The run's transmissions are slot ``k``'s own (logged by
+        :meth:`ChannelCore.record_tx` when step ``k`` ran); its message
+        table holds each row's first overlapping message.  A listener is
+        eligible iff it was awake in slot ``k`` and did not itself
+        transmit then; the second overlap of an already-decoded
+        transmission is dropped before the core sees it (it must neither
+        re-deliver nor consume a loss draw for a decode that already
+        happened).
         """
         just = self._just_delivered
         wake_slots = self.wake_slots
-        candidates: list[tuple[int, int, Message | None, bool]] = []
-        for u in np.flatnonzero(buf.count):
-            u = int(u)
+        listeners: list[int] = []
+        counts: list[int] = []
+        eligible: list[bool] = []
+        msgs: list[Message | None] = []
+        for u in np.flatnonzero(buf.count).tolist():
             count = int(buf.count[u])
             msg = buf.msg[u]
             if count == 1 and msg is just[u]:
                 continue  # second overlap of an already-decoded tx
-            eligible = wake_slots[u] <= k and not buf.tx[u]
-            candidates.append((u, count, msg, eligible))
+            listeners.append(u)
+            counts.append(count)
+            eligible.append(bool(wake_slots[u] <= k) and not buf.tx[u])
+            msgs.append(msg)
+        senders = self._pending_senders
+        run = FireRun(
+            k, k + 1, [k] * len(senders), senders, self._pending_draws, msgs=msgs
+        )
         self._delivered_now.clear()
-        delivered, collided, lost = self.core.deliver(k, candidates)
+        self.core.deliver(
+            k,
+            Candidates(
+                run,
+                [k] * len(listeners),
+                listeners,
+                counts,
+                [i if c == 1 else -1 for i, c in enumerate(counts)],
+                eligible,
+            ),
+        )
         new_last: list[Message | None] = [None] * self.deployment.n
         for u, msg in self._delivered_now:
             new_last[u] = msg
         self._just_delivered = new_last
-        return delivered, collided, lost

@@ -64,6 +64,25 @@ class TestTemporalIndependence:
         assert check_independence_over_time(dep, tr) == []
 
 
+    def test_level0_run_is_checked(self):
+        """``trace_level=0`` records no decide events, so the check reads
+        the always-on decide arrays: a planted adjacent same-color pair is
+        reported, stamped at the later of the two decisions."""
+        dep = random_udg(30, expected_degree=6, seed=5, connected=True)
+        res = run_coloring(dep, seed=3, trace_level=0)
+        tr = res.trace
+        assert tr.events == []
+        assert verify_run(res).temporal_violations == []
+        u, v = min(dep.graph.edges, key=lambda e: tr.decide_slot[e[0]] - tr.decide_slot[e[1]])
+        assert tr.decide_slot[u] < tr.decide_slot[v]
+        tr.decide_color[v] = tr.decide_color[u]
+        report = verify_run(res)
+        assert report.temporal_violations == [
+            (int(tr.decide_slot[v]), v, u, int(tr.decide_color[u]))
+        ]
+        assert "1 temporal violations" in report.describe()
+
+
 class TestLeaderSet:
     def test_adjacent_leaders_flagged(self):
         dep = path_deployment(2)

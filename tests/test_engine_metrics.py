@@ -81,11 +81,9 @@ class TestChannelMetricsObject:
 
     def test_recorder_enforces_slot_index(self):
         trace = TraceRecorder(4)
-        trace.channel(0, tx=1, rx=0, collisions=0, lost=0, protocol_draws=4, loss_draws=0)
+        trace.channels(0, [1], [0], [0], [0], [4], [0])
         with pytest.raises(ValueError):
-            trace.channel(
-                2, tx=0, rx=0, collisions=0, lost=0, protocol_draws=0, loss_draws=0
-            )
+            trace.channels(2, [0], [0], [0], [0], [0], [0])
 
 
 class TestEngineMetricsAccounting:

@@ -8,12 +8,15 @@ stream via :meth:`~repro._util.RngMeter.skip` instead of generating.
 These tests check that promise the direct way — run the same seeded
 world both ways and demand equality of every observable: slot counts,
 early-stop behaviour, all six channel-metric columns slot-for-slot,
-per-node trace counters, the full level-2 event list, and final colors.
+per-node trace counters, the event list of the trace level, and final
+colors.
 
 The conformance matrix (``repro conform --matrix``) pins specific
 scenarios; the Hypothesis property here walks random deployments, wake
-schedules, seeds, loss rates, stop granularities, and block sizes
-(including ``block=1`` and ``block`` far beyond the run length).
+schedules, seeds, loss rates, channel counts, trace levels, stop
+granularities, and block sizes (including ``block=1`` and ``block`` far
+beyond the run length).  Level 0 is the level every benchmark run
+uses, and the only one whose deliveries all go through the bulk path.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from hypothesis import strategies as st
 from repro.core import BernoulliColoringNode, Parameters, run_coloring
 from repro.core.protocol import build_simulator
 from repro.graphs import random_udg
+from repro.radio import CounterMessage
 from repro.wakeup import uniform_random
 
 BLOCK_SIZES = (1, 2, 3, 7, 17, 64, 1_000_000)
@@ -42,14 +46,14 @@ def _world(n, degree, graph_seed, wake_seed, wake_window):
 
 
 def _run(dep, params, wake, *, seed, block, loss_prob=0.0, channels=1,
-         max_slots=400, check_every=16, stop=False):
+         max_slots=400, check_every=16, stop=False, trace_level=2):
     sim, nodes = build_simulator(
         dep,
         params,
         wake,
         seed=seed,
         node_cls=BernoulliColoringNode,
-        trace_level=2,
+        trace_level=trace_level,
         loss_prob=loss_prob,
         channels=channels,
     )
@@ -69,11 +73,19 @@ def _assert_identical(a, b):
     assert set(cols_a) == set(cols_b)
     for name in cols_a:
         assert np.array_equal(cols_a[name], cols_b[name]), f"column {name}"
-    for attr in ("tx_count", "rx_count", "collision_count"):
+    for attr in ("tx_count", "rx_count", "collision_count", "wake_slot",
+                 "decide_slot", "decide_color"):
         assert np.array_equal(getattr(sim_a.trace, attr), getattr(sim_b.trace, attr))
+    assert sim_a.trace.decided == sim_b.trace.decided
     assert sim_a.trace.events == sim_b.trace.events
     assert [n.color for n in nodes_a] == [n.color for n in nodes_b]
-    assert sim_a.rng.draws == sim_b.rng.draws
+    assert sim_a.core.loss_draws == sim_b.core.loss_draws
+    assert getattr(sim_a.phy, "channel_draws", 0) == getattr(sim_b.phy, "channel_draws", 0)
+    if not res_a.stopped_early:
+        # After an early stop a blocked run's generator may sit past the
+        # stop: uniforms were drawn for the rest of the segment (DESIGN
+        # §5.10(c)).
+        assert sim_a.rng.draws == sim_b.rng.draws
 
 
 @settings(max_examples=25, deadline=None)
@@ -86,16 +98,19 @@ def _assert_identical(a, b):
     wake_window=st.sampled_from([0, 25, 120]),
     block=st.sampled_from(BLOCK_SIZES),
     loss_prob=st.sampled_from([0.0, 0.15]),
+    channels=st.sampled_from([1, 2]),
+    trace_level=st.sampled_from([0, 1, 2]),
     check_every=st.sampled_from([1, 4, 16]),
     stop=st.booleans(),
 )
 def test_blocked_equals_per_slot_property(
     n, degree, graph_seed, wake_seed, sim_seed, wake_window, block,
-    loss_prob, check_every, stop,
+    loss_prob, channels, trace_level, check_every, stop,
 ):
     """Random world, random stepping knobs: blocked == per-slot."""
     dep, params, wake = _world(n, degree, graph_seed, wake_seed, wake_window)
-    kwargs = dict(seed=sim_seed, loss_prob=loss_prob, max_slots=350,
+    kwargs = dict(seed=sim_seed, loss_prob=loss_prob, channels=channels,
+                  trace_level=trace_level, max_slots=350,
                   check_every=check_every, stop=stop)
     _assert_identical(
         _run(dep, params, wake, block=1, **kwargs),
@@ -172,3 +187,76 @@ def test_classic_path_accepts_block():
     blocked = run_coloring(dep, seed=13, block=64)
     assert np.array_equal(base.colors, blocked.colors)
     assert base.slots == blocked.slots
+
+
+def test_fire_run_work_is_pinned(monkeypatch):
+    """Exact work counters of one small contended run to completion
+    (``block=4096``, level 0).  Fire runs resolve and deliver every fire
+    slot drawn under one state in one call, build only the messages a
+    filtered delivery needs, and re-read only the nodes a delivery
+    changed; a drift in any count is a change in how much work the fast
+    path does."""
+    from repro.radio.channel import ChannelCore, CollisionPhy
+    from repro.radio.engine import RadioSimulator
+
+    calls = dict.fromkeys(
+        ("node.deliver", "_refresh", "emit", "phy.resolve", "core.deliver"), 0
+    )
+
+    def count(owner, name, label):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(BernoulliColoringNode, "deliver", "node.deliver")
+    count(RadioSimulator, "_refresh", "_refresh")
+    count(BernoulliColoringNode, "emit", "emit")
+    count(CollisionPhy, "resolve", "phy.resolve")
+    count(ChannelCore, "deliver", "core.deliver")
+    dep = random_udg(40, expected_degree=9, seed=3)
+    params = Parameters.practical(dep.n, max(2, dep.max_degree), 5, 18, scale=2)
+    res = run_coloring(dep, params, seed=5, node_cls=BernoulliColoringNode,
+                       block=4096, trace_level=0)
+    assert res.completed and res.slots == 49229
+    tx = res.trace.channel_metrics.tx
+    assert len(tx) - tx.count(0) == 19859  # fire slots
+    assert calls == {
+        "node.deliver": 10437,
+        "_refresh": 371,
+        "emit": 2019,
+        "phy.resolve": 508,
+        "core.deliver": 508,
+    }
+
+
+class _OversizeNode(BernoulliColoringNode):
+    """From slot 200 on, every third node's messages exceed the bound
+    ``enforce_message_bits`` sets (``emit`` stays pure: slot and vid
+    decide)."""
+
+    __slots__ = ()
+
+    def emit(self, slot):
+        msg = super().emit(slot)
+        if slot >= 200 and self.vid % 3 == 0:
+            return CounterMessage(sender=self.vid, color=0, counter=1 << 200)
+        return msg
+
+
+def test_message_bits_checked_at_the_same_transmission_at_any_block():
+    """A blocked run checks message sizes exactly on the transmissions of
+    the slots it processes, never on one drawn past a cut, so the first
+    violation is the per-slot run's."""
+    dep, params, wake = _world(12, 5.0, 7, 8, 0)
+    errors = []
+    for block in (1, 64, 4096):
+        sim, _ = build_simulator(dep, params, wake, seed=3, node_cls=_OversizeNode,
+                                 trace_level=0, enforce_message_bits=True)
+        with pytest.raises(RuntimeError, match="-bit message") as err:
+            sim.run(5000, block=block)
+        errors.append(str(err.value))
+    assert errors == [errors[0]] * 3
