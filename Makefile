@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction harness.
 
-.PHONY: install test test-slow lint staticcheck typecheck bench bench-smoke bench-json bench-check conform arena full-bench report tour clean
+.PHONY: install test test-slow lint staticcheck typecheck bench bench-smoke conform arena full-bench report tour clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -49,31 +49,14 @@ arena:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Fast benchmark sanity pass: the engine microbenchmarks (including the
-# vectorized-vs-classic speedup gate) plus one experiment bench at tiny
-# scale.  Meant for pre-merge smoke, not for archived numbers; works
-# from a clean checkout (no `make install` needed).
+# Fast benchmark sanity pass: the engine microbenchmarks plus one
+# experiment bench at tiny scale.  Meant for pre-merge smoke, not for
+# archived numbers (timing claims come from bench/, exact work counts
+# from tests/test_radio_engine_blocks.py); works from a clean checkout
+# (no `make install` needed).
 bench-smoke:
 	PYTHONPATH=src pytest benchmarks/bench_engine_microbench.py \
-	  benchmarks/bench_engine_blocks.py \
 	  benchmarks/bench_e1_correctness.py --benchmark-only -q
-
-# Regenerate the committed engine-path baseline (BENCH_engine.json at
-# the repo root): classic vs per-slot-vectorized vs block-stepped on
-# the sparse-deployment cold-start workload (n in {100, 400, 1600}).
-# --repeats 5 keeps the vectorized-vs-classic crossover pin stable
-# against timer noise.
-# Commit the refreshed JSON together with whatever engine change
-# motivated it; CI guards it via scripts/check_bench.py.
-bench-json:
-	PYTHONPATH=src python -m repro.experiments.engine_bench --repeats 5 \
-	  --out BENCH_engine.json
-
-# Re-run the engine benchmark and compare against the committed
-# baseline (2x wall-clock tolerance; blocked-vs-per-slot speedup floor
-# on the n=1600 cell, and vectorized <= classic at every pinned n).
-bench-check:
-	PYTHONPATH=src python scripts/check_bench.py
 
 # Full-scale experiment sweeps (slow; writes benchmarks/results/full/).
 full-bench:

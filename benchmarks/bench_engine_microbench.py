@@ -1,17 +1,17 @@
 """Micro-benchmarks of the simulation substrate itself.
 
-Not a paper table — these track the engine's raw throughput (slots/sec)
-and the protocol's end-to-end cost so performance regressions in the hot
-path (transmitter-centric collision resolution, lazy counters, geometric
-transmission skips) are caught.  The HPC guides' rule: no optimization
-without measurement — this is the measurement.
+Not a paper table — these time the engine's raw throughput (slots/sec)
+and the protocol's end-to-end cost, so drift in the hot path
+(transmitter-centric collision resolution, lazy counters, geometric
+transmission skips) shows up as printed numbers.  They gate nothing on
+wall time: the fast path's work is pinned exactly, host-independently,
+by the counter pins in ``tests/test_radio_engine_blocks.py``, and
+end-to-end timing claims come from ``bench/``.
 """
 
 import time
 
-import numpy as np
-
-from repro.core import BernoulliColoringNode, Parameters, run_coloring
+from repro.core import Parameters, run_coloring
 from repro.core.protocol import build_simulator
 from repro.graphs import random_udg
 
@@ -29,37 +29,6 @@ def test_engine_slot_throughput(benchmark):
 
     slots = benchmark(run_slots)
     assert slots == 2000
-
-
-def test_vectorized_engine_speedup(benchmark):
-    """The batched-draw fast path must beat the per-node step path by
-    >= 2x slots/sec on a 300-node UDG (the engine-vectorization
-    acceptance bar; the usual margin is ~4-5x)."""
-    dep = random_udg(300, expected_degree=14, seed=7, connected=True)
-    params = Parameters.for_deployment(dep)
-    n_slots = 1500
-
-    def run_slots(node_cls):
-        sim, _ = build_simulator(dep, params, seed=2, node_cls=node_cls)
-        t0 = time.perf_counter()
-        for _ in range(n_slots):
-            sim.step()
-        return sim, n_slots / (time.perf_counter() - t0)
-
-    def measure():
-        from repro.core.node import ColoringNode
-
-        _, classic_rate = run_slots(ColoringNode)
-        sim, fast_rate = run_slots(BernoulliColoringNode)
-        assert sim.vectorized
-        return classic_rate, fast_rate
-
-    classic_rate, fast_rate = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print(
-        f"\nclassic {classic_rate:,.0f} slots/s; "
-        f"vectorized {fast_rate:,.0f} slots/s ({fast_rate / classic_rate:.1f}x)"
-    )
-    assert fast_rate >= 2.0 * classic_rate
 
 
 def test_full_coloring_run(benchmark):
@@ -115,9 +84,10 @@ def test_unaligned_delegation_overhead(benchmark):
     """The unaligned simulator now delegates message recording, loss,
     delivery, and metrics to the shared ChannelCore; this tracks what
     that delegation (plus the rolling two-buffer geometry it keeps
-    locally) costs relative to the aligned engine, and that switching
-    the core's loss stream on stays cheap.  Guardrails are deliberately
-    loose — the signal is the printed ratios drifting across commits."""
+    locally) costs relative to the aligned engine, and what switching
+    the core's loss stream on costs.  Timing only: the signal is the
+    printed ratios drifting across commits (the exact work counts are
+    pinned in tests/test_radio_engine_blocks.py)."""
     dep = random_udg(100, expected_degree=12, seed=1, connected=True)
     params = Parameters.for_deployment(dep)
     n_slots = 1500
@@ -145,11 +115,6 @@ def test_unaligned_delegation_overhead(benchmark):
         f"unaligned+loss {lossy_rate:,.0f} slots/s "
         f"({lossy_rate / unaligned_rate:.2f}x of unaligned)"
     )
-    # The unaligned path does strictly more per slot (overlap buffers,
-    # lagged finalization) but must stay within the same order of
-    # magnitude, and loss draws must not dominate it.
-    assert unaligned_rate >= 0.1 * aligned_rate
-    assert lossy_rate >= 0.5 * unaligned_rate
 
 
 def test_metrics_overhead_and_consistency(benchmark):

@@ -12,6 +12,10 @@ reports every violation with its slot.
 *Leader structure* (basis of Lemmas 2-5): ``C_0`` is an independent set,
 and — once the run completed — a *maximal* one: every non-leader heard
 (and therefore has) a leader neighbor.
+
+Every check is an array operation over the deployment's CSR adjacency,
+each edge taken once as ``u < v`` (:func:`_edges`), and reports its
+violations in ascending ``(u, v)`` order.
 """
 
 from __future__ import annotations
@@ -33,15 +37,24 @@ __all__ = [
 ]
 
 
+def _edges(dep: Deployment) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge of ``dep`` once, as arrays ``u < v`` in ascending
+    ``(u, v)`` order (the CSR rows are sorted)."""
+    indptr, indices = dep.csr
+    first = np.repeat(np.arange(dep.n), np.diff(indptr))
+    once = first < indices
+    return first[once], indices[once]
+
+
 def check_proper_coloring(
     dep: Deployment, colors: np.ndarray
 ) -> list[tuple[int, int, int]]:
     """Return all violating edges ``(u, v, color)`` among decided nodes."""
-    return [
-        (u, v, int(colors[u]))
-        for u, v in dep.graph.edges
-        if colors[u] >= 0 and colors[u] == colors[v]
-    ]
+    colors = np.asarray(colors)
+    u, v = _edges(dep)
+    cu = colors[u]
+    bad = (cu >= 0) & (cu == colors[v])
+    return list(zip(u[bad].tolist(), v[bad].tolist(), cu[bad].tolist()))
 
 
 def check_completeness(colors: np.ndarray) -> list[int]:
@@ -58,10 +71,7 @@ def check_independence_over_time(
     later decision ``slot`` (that of ``u``; ``v`` decided earlier, or in
     the same slot — simultaneous decisions are violations too, as in
     the theorem's proof).  Sorted by slot, then ``u``, then ``v``."""
-    indptr, indices = dep.csr
-    first = np.repeat(np.arange(dep.n), np.diff(indptr))
-    edge = first < indices  # each undirected edge once
-    a, b = first[edge], indices[edge]
+    a, b = _edges(dep)
     slot, color = trace.decide_slot, trace.decide_color
     bad = (slot[a] >= 0) & (slot[b] >= 0) & (color[a] == color[b])
     a, b = a[bad], b[bad]
@@ -78,17 +88,25 @@ def check_leader_set(
     dep: Deployment, colors: np.ndarray, *, require_maximal: bool = True
 ) -> list[str]:
     """Check that the leaders (color 0) form an independent — and, for
-    completed runs, maximal — set.  Returns human-readable problems."""
-    problems: list[str] = []
-    colors = np.asarray(colors)
-    leader = colors == 0
-    for u, v in dep.graph.edges:
-        if leader[u] and leader[v]:
-            problems.append(f"adjacent leaders {u} and {v}")
+    completed runs, maximal — set: with ``require_maximal`` every node
+    whose color is not 0 must have a leader neighbor (MIS coverage; on a
+    completed run every node has decided).  Returns human-readable
+    problems."""
+    leader = np.asarray(colors) == 0
+    u, v = _edges(dep)
+    both = leader[u] & leader[v]
+    problems = [
+        f"adjacent leaders {a} and {b}"
+        for a, b in zip(u[both].tolist(), v[both].tolist())
+    ]
     if require_maximal:
-        for v in range(dep.n):
-            if colors[v] > 0 and not any(leader[u] for u in dep.neighbors[v]):
-                problems.append(f"non-leader {v} has no leader neighbor")
+        covered = np.zeros(dep.n, dtype=bool)
+        covered[u[leader[v]]] = True
+        covered[v[leader[u]]] = True
+        problems += [
+            f"non-leader {x} has no leader neighbor"
+            for x in np.flatnonzero(~leader & ~covered).tolist()
+        ]
     return problems
 
 

@@ -125,9 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
     color.add_argument(
         "--block", type=int, default=1, metavar="B",
         help="block-stepped execution: advance up to B slots per engine "
-        "chunk (B > 1 selects the batched node class so the vectorized "
-        "fast path engages; results are identical at any B > 1, while "
-        "B = 1 runs the classic node, a different fixed-seed trajectory)",
+        "chunk (B > 1 selects the protocol's batched node class so the "
+        "vectorized fast path engages; results are identical at any B > 1, "
+        "while B = 1 runs the classic node, a different fixed-seed trajectory)",
     )
     color.add_argument(
         "--metrics", action="store_true",
@@ -274,16 +274,12 @@ def _list_registries(protocols: bool, phys: bool) -> int:
 
 def _mis_verdict(dep, result) -> int:
     """Leader-set verdict for ``--protocol mis`` runs (the coloring
-    verifier would flag the deliberately-UNDECIDED non-leaders)."""
+    verifier would flag the deliberately-UNDECIDED non-leaders); on a
+    completed run, maximality is coverage: every non-leader must see a
+    leader."""
     from repro.analysis import check_leader_set
 
-    problems = check_leader_set(dep, result.colors, require_maximal=False)
-    if result.completed:
-        # Coverage/maximality: every non-leader must see a leader.
-        leader = result.colors == 0
-        for v in range(dep.n):
-            if not leader[v] and not any(leader[u] for u in dep.neighbors[v]):
-                problems.append(f"non-leader {v} has no leader neighbor")
+    problems = check_leader_set(dep, result.colors, require_maximal=result.completed)
     for problem in problems:
         print(f"  PROBLEM: {problem}")
     verdict = "OK" if not problems else "VIOLATIONS FOUND"
@@ -293,6 +289,7 @@ def _mis_verdict(dep, result) -> int:
 
 def _cmd_color(args) -> int:
     from repro.core import Parameters, run_coloring
+    from repro.core.strategy import resolve_protocol
     from repro.analysis import verify_run
     from repro.graphs import random_udg
     from repro.wakeup import ALL_SCHEDULES
@@ -304,13 +301,6 @@ def _cmd_color(args) -> int:
     if args.block < 1:
         print("--block must be >= 1", file=sys.stderr)
         return 2
-    run_kwargs = {}
-    if args.block > 1:
-        from repro.core.vector_node import BernoulliColoringNode
-
-        # Block-stepping pays off on the vectorized fast path, which
-        # needs the batched node interface; same protocol, same paper.
-        run_kwargs = {"block": args.block, "node_cls": BernoulliColoringNode}
     scale_kwargs = {}
     if args.channels > 1 and args.regime == "practical":
         # Hopping thins the meeting rate by 1/k; scale the constants
@@ -319,7 +309,13 @@ def _cmd_color(args) -> int:
         scale_kwargs["scale"] = float(args.channels)
     params = Parameters.for_deployment(dep, regime=args.regime, **scale_kwargs)
     wake = ALL_SCHEDULES[args.schedule](dep, seed=args.seed + 1)
+    run_kwargs = {}
     try:
+        if args.block > 1:
+            # Block-stepping pays off on the vectorized fast path, which
+            # needs the protocol's batched node class; same protocol logic.
+            node_cls = resolve_protocol(args.protocol).node_cls(vectorized=True)
+            run_kwargs = {"block": args.block, "node_cls": node_cls}
         result = run_coloring(
             dep,
             params=params,

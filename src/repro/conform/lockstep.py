@@ -214,9 +214,9 @@ def build_lockstep(
         rng=conform_rng(),
         trace=trace_b,
         loss_prob=loss_prob,
-        vectorized=True,
         phy=phy_factory() if phy_factory is not None else None,
     )
+    assert vectorized.vectorized, f"{vec_cls.__name__} must run the vectorized path"
     return LockstepPair(classic, vectorized, inner, vec_nodes)
 
 
@@ -393,16 +393,17 @@ def run_block_lockstep(
     nodes_b = [node_cls(v, params, trace_b) for v in range(n)]
 
     def build(nodes, trace) -> RadioSimulator:
-        return RadioSimulator(
+        sim = RadioSimulator(
             dep,
             nodes,
             wake_slots,
             rng=conform_rng(),
             trace=trace,
             loss_prob=loss_prob,
-            vectorized=True,
             phy=phy_factory() if phy_factory is not None else None,
         )
+        assert sim.vectorized, f"{node_cls.__name__} must run the vectorized path"
+        return sim
 
     sim_a = build(nodes_a, trace_a)
     sim_b = build(nodes_b, trace_b)

@@ -53,11 +53,9 @@ class ColoringResult:
     def proper(self) -> bool:
         """No two adjacent decided nodes share a color (correctness,
         restricted to decided nodes)."""
-        colors = self.colors
-        return all(
-            colors[u] == UNDECIDED or colors[v] == UNDECIDED or colors[u] != colors[v]
-            for u, v in self.deployment.graph.edges
-        )
+        from repro.analysis.verify import check_proper_coloring
+
+        return not check_proper_coloring(self.deployment, self.colors)
 
     @property
     def num_colors(self) -> int:

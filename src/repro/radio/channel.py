@@ -80,22 +80,9 @@ __all__ = [
     "SimulationResult",
     "SinrPhy",
     "SlotSteppedSimulator",
-    "build_csr",
     "make_phy",
     "phy_names",
 ]
-
-
-def build_csr(dep: Deployment) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten a deployment's per-node neighbor arrays into CSR-style
-    ``(indptr, indices)`` arrays: node ``v``'s neighbors are
-    ``indices[indptr[v]:indptr[v+1]]``.
-
-    Delegates to the deployment's cached :attr:`~repro.graphs.deployment.
-    Deployment.csr` property, so repeated binds — every run of a seed
-    sweep over one deployment, every lockstep pair — share one adjacency
-    structure."""
-    return dep.csr
 
 
 @dataclass
@@ -587,8 +574,7 @@ class PhyModel(ABC):
         self._nodes = sim.nodes
         self._n = dep.n
         self._neighbors = dep.neighbors
-        indptr, _ = build_csr(dep)
-        self._degree = np.diff(indptr)
+        self._degree = np.diff(dep.csr[0])
         self._wake_slots = sim.wake_slots
 
     @abstractmethod

@@ -77,14 +77,13 @@ from repro.radio.channel import (
     PhyModel,
     SimulationResult,
     SlotSteppedSimulator,
-    build_csr,
 )
 from repro.radio.messages import Message
 from repro.radio.node import ProtocolNode
 from repro.radio.trace import TraceRecorder
 from repro._util import RngMeter
 
-__all__ = ["RadioSimulator", "SimulationResult", "build_csr"]
+__all__ = ["RadioSimulator", "SimulationResult"]
 
 #: effectively-infinite slot number for "no scheduled event"
 _FAR = 1 << 62
@@ -127,13 +126,6 @@ class RadioSimulator(SlotSteppedSimulator):
         delivery, so it must degrade gracefully — the robustness tests
         measure how much.  Losses are silent (no collision event either):
         the receiver observes nothing, exactly like a collision.
-    vectorized:
-        Execution-path override: ``None`` (default) auto-detects — the
-        fast path engages iff every node implements the batched
-        interface; ``False`` forces the per-node compatibility path even
-        for batched populations (conformance and benchmark comparisons);
-        ``True`` demands the fast path and raises if any node lacks the
-        interface.
     phy:
         Channel model resolving each slot's transmission set
         (:class:`~repro.radio.channel.PhyModel`); defaults to the paper's
@@ -149,7 +141,6 @@ class RadioSimulator(SlotSteppedSimulator):
         trace: TraceRecorder | None = None,
         max_message_bits: int | None = None,
         loss_prob: float = 0.0,
-        vectorized: bool | None = None,
         phy: PhyModel | None = None,
     ) -> None:
         n = deployment.n
@@ -197,21 +188,12 @@ class RadioSimulator(SlotSteppedSimulator):
         self._next_wake_slot = int(self.wake_slots[order[0]]) if n else _FAR
         self._awake: list[int] = []
         self._append_metrics = self.trace.channel_metrics.append
-        # Vectorized fast path (engaged only when every node opts in):
+        # Vectorized fast path, chosen by the node population alone
+        # (engaged iff every node implements the batched interface):
         # dense per-node send probabilities, next scheduled event slots
         # and delivery keys, refreshed whenever a node's state can have
         # changed.
-        batched = n > 0 and all(hasattr(node, "tx_prob") for node in self.nodes)
-        if vectorized is None:
-            self.vectorized = batched
-        elif vectorized and not batched:
-            raise ValueError(
-                "vectorized=True requires every node to implement the "
-                "batched interface (tx_prob/next_event_slot/on_event/emit/"
-                "listen_key/message_keys)"
-            )
-        else:
-            self.vectorized = bool(vectorized)
+        self.vectorized = n > 0 and all(hasattr(node, "tx_prob") for node in self.nodes)
         if self.vectorized:
             self._p = np.zeros(n, dtype=np.float64)
             self._evt = np.full(n, _FAR, dtype=np.int64)

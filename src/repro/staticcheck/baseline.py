@@ -2,8 +2,7 @@
 
 The baseline file (``staticcheck-baseline.json`` at the repo root)
 records, per ``<contract-relpath>::<rule>`` key, how many violations
-the committed tree is *allowed* to carry.  The gate then works like
-the benchmark gate in ``scripts/check_bench.py``:
+the committed tree is *allowed* to carry.  The gate is a ratchet:
 
 - **new** violations (count above baseline for any key) fail the run,
   each printed diff-style with rule + file:line;

@@ -1,9 +1,8 @@
 """CLI for the determinism gate: ``repro staticcheck`` (also runnable
 standalone as ``python -m repro.staticcheck``).
 
-Exit codes follow ``scripts/check_bench.py`` convention: 0 = gate
-green, 1 = new violations (each printed diff-style with rule +
-file:line), 2 = usage/configuration error.
+Exit codes: 0 = gate green, 1 = new violations (each printed
+diff-style with rule + file:line), 2 = usage/configuration error.
 """
 
 from __future__ import annotations

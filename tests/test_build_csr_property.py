@@ -1,11 +1,11 @@
-"""Property tests for the engine's CSR adjacency flattening.
+"""Property tests for the deployment's CSR adjacency.
 
-:func:`repro.radio.engine.build_csr` is the load-bearing data structure
-of the vectorized fast path: every per-slot collision resolution indexes
-through ``(indptr, indices)``.  Hypothesis generates arbitrary
-deployments — empty, single-node, isolated nodes, dense cliques — and
-checks the CSR invariants and the exact round-trip back to per-node
-neighbor lists.
+:attr:`repro.graphs.deployment.Deployment.csr` is the load-bearing data
+structure of the engine and of verification: every PHY bind and every
+edge check indexes through ``(indptr, indices)``.  Hypothesis generates
+arbitrary deployments — empty, single-node, isolated nodes, dense
+cliques — and checks the CSR invariants and the exact round-trip back
+to per-node neighbor lists.
 """
 
 import networkx as nx
@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import from_graph
-from repro.radio.engine import build_csr
 
 
 @st.composite
@@ -40,7 +39,7 @@ def deployments(draw):
 @given(deployments())
 @settings(max_examples=60, deadline=None)
 def test_csr_invariants(dep):
-    indptr, indices = build_csr(dep)
+    indptr, indices = dep.csr
     assert indptr.dtype == np.int64
     assert indices.dtype == np.int64
     assert len(indptr) == dep.n + 1
@@ -55,7 +54,7 @@ def test_csr_invariants(dep):
 @given(deployments())
 @settings(max_examples=60, deadline=None)
 def test_csr_round_trips_neighbor_lists(dep):
-    indptr, indices = build_csr(dep)
+    indptr, indices = dep.csr
     for v in range(dep.n):
         sl = indices[indptr[v] : indptr[v + 1]]
         expected = sorted(dep.graph.neighbors(v))
@@ -67,7 +66,7 @@ def test_csr_round_trips_neighbor_lists(dep):
 
 def test_zero_node_deployment():
     dep = from_graph(nx.Graph())
-    indptr, indices = build_csr(dep)
+    indptr, indices = dep.csr
     assert indptr.tolist() == [0]
     assert len(indices) == 0
 
@@ -76,14 +75,14 @@ def test_isolated_nodes_only():
     g = nx.Graph()
     g.add_nodes_from(range(5))
     dep = from_graph(g)
-    indptr, indices = build_csr(dep)
+    indptr, indices = dep.csr
     assert indptr.tolist() == [0] * 6
     assert len(indices) == 0
 
 
 def test_dense_clique():
     dep = from_graph(nx.complete_graph(7))
-    indptr, indices = build_csr(dep)
+    indptr, indices = dep.csr
     assert np.all(np.diff(indptr) == 6)
     for v in range(7):
         assert sorted(indices[indptr[v] : indptr[v + 1]]) == [

@@ -64,18 +64,25 @@ class TestColor:
         assert rc == 0, out
         assert "proper" in out
 
-    def test_block_results_identical_at_any_block_above_one(self, capsys):
-        """B > 1 runs the batched node class, so every B > 1 prints the
-        same summary (B = 1 runs the classic node, another trajectory)."""
+    @pytest.mark.parametrize(
+        "protocol, slots", [("mw05", 7425), ("mis", 1855)], ids=["mw05", "mis"]
+    )
+    def test_block_results_identical_at_any_block_above_one(
+        self, capsys, protocol, slots
+    ):
+        """B > 1 runs the protocol's batched node class, so every B > 1
+        prints the same summary (B = 1 runs the classic node, another
+        trajectory)."""
         outs = []
         for block in ("2", "64"):
             rc = main(["color", "--n", "40", "--degree", "8", "--seed", "3",
-                       "--block", block])
+                       "--block", block, "--protocol", protocol])
             out = capsys.readouterr().out
             assert rc == 0, out
             outs.append(out)
         assert outs[0] == outs[1]
-        assert "slots: 7425" in outs[0]
+        assert f"protocol: {protocol}" in outs[0]
+        assert f"slots: {slots}\n" in outs[0]
 
     def test_channels_rejected_on_unaligned(self, capsys):
         rc = main(

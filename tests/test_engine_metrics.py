@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro._util import RngMeter
-from repro.core import BernoulliColoringNode, Parameters
+from repro.core import BernoulliColoringNode, ColoringNode, Parameters
 from repro.graphs import random_udg, ring_deployment
 from repro.radio import RadioSimulator, TraceRecorder
 from repro.radio.trace import ChannelMetrics
@@ -19,11 +19,12 @@ from repro.radio.trace import ChannelMetrics
 from .conftest import BeaconNode, ListenerNode
 
 
-def _run(n=24, degree=6.0, seed=7, loss_prob=0.0, vectorized=None, max_slots=400):
+def _run(n=24, degree=6.0, seed=7, loss_prob=0.0, node_cls=BernoulliColoringNode,
+         max_slots=400):
     dep = random_udg(n, expected_degree=degree, seed=seed)
     params = Parameters.for_deployment(dep)
     trace = TraceRecorder(n)
-    nodes = [BernoulliColoringNode(v, params, trace) for v in range(n)]
+    nodes = [node_cls(v, params, trace) for v in range(n)]
     sim = RadioSimulator(
         dep,
         nodes,
@@ -31,7 +32,6 @@ def _run(n=24, degree=6.0, seed=7, loss_prob=0.0, vectorized=None, max_slots=400
         rng=np.random.default_rng(seed + 1),
         trace=trace,
         loss_prob=loss_prob,
-        vectorized=vectorized,
     )
     sim.run(max_slots)
     return sim, trace
@@ -88,7 +88,7 @@ class TestChannelMetricsObject:
 
 class TestEngineMetricsAccounting:
     def test_totals_match_trace_counters_classic(self):
-        sim, trace = _run(vectorized=False)
+        sim, trace = _run(node_cls=ColoringNode)
         totals = trace.channel_metrics.totals()
         assert len(trace.channel_metrics) == sim.slot
         assert totals["tx"] == int(trace.tx_count.sum())
@@ -98,7 +98,7 @@ class TestEngineMetricsAccounting:
         assert totals["loss_draws"] == 0
 
     def test_totals_match_trace_counters_vectorized(self):
-        sim, trace = _run(vectorized=True)
+        sim, trace = _run()
         totals = trace.channel_metrics.totals()
         assert totals["tx"] == int(trace.tx_count.sum())
         assert totals["rx"] == int(trace.rx_count.sum())
@@ -108,20 +108,20 @@ class TestEngineMetricsAccounting:
         """The fast path's documented pattern: one random(n) per slot,
         unconditionally."""
         n = 20
-        sim, trace = _run(n=n, vectorized=True)
+        sim, trace = _run(n=n)
         draws = trace.channel_metrics.as_arrays()["protocol_draws"]
         assert np.all(draws == n)
 
     def test_lossy_run_counts_losses_and_draws(self):
-        sim, trace = _run(loss_prob=0.3, vectorized=True)
+        sim, trace = _run(loss_prob=0.3)
         totals = trace.channel_metrics.totals()
         assert totals["lost"] > 0
         # One loss draw per otherwise-successful reception, delivered or not.
         assert totals["loss_draws"] == totals["rx"] + totals["lost"]
 
     def test_loss_does_not_perturb_protocol_stream(self):
-        _, clean = _run(loss_prob=0.0, vectorized=True, max_slots=200)
-        _, lossy = _run(loss_prob=0.3, vectorized=True, max_slots=200)
+        _, clean = _run(loss_prob=0.0, max_slots=200)
+        _, lossy = _run(loss_prob=0.3, max_slots=200)
         a = clean.channel_metrics.as_arrays()
         b = lossy.channel_metrics.as_arrays()
         assert np.array_equal(a["tx"], b["tx"])
@@ -149,26 +149,17 @@ class TestEngineMetricsAccounting:
 
 
 class TestVectorizedOverride:
-    def test_force_classic_on_batched_population(self):
-        sim, _ = _run(vectorized=False)
-        assert not sim.vectorized
-
-    def test_demand_vectorized_on_compat_population_raises(self):
-        dep = ring_deployment(4)
-        nodes = [ListenerNode(v) for v in range(4)]
-        with pytest.raises(ValueError):
-            RadioSimulator(
-                dep, nodes, np.zeros(4, dtype=np.int64),
-                rng=np.random.default_rng(0), vectorized=True,
-            )
+    """The node population alone chooses the route: the batched
+    interface engages the fast path, anything else the classic one."""
 
     def test_auto_detect_unchanged(self):
-        sim, _ = _run(vectorized=None)
+        sim, _ = _run()
         assert sim.vectorized
 
     def test_forced_paths_agree_on_final_counters(self):
-        _, ta = _run(vectorized=False, max_slots=300)
-        _, tb = _run(vectorized=True, max_slots=300)
+        classic, ta = _run(node_cls=ColoringNode, max_slots=300)
+        fast, tb = _run(max_slots=300)
+        assert not classic.vectorized and fast.vectorized
         # Not a lockstep claim (the paths consume RNG differently); both
         # must simply be self-consistent and complete their accounting.
         assert len(ta.channel_metrics) == len(tb.channel_metrics) == 300

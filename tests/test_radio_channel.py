@@ -61,13 +61,6 @@ class TestChannelCore:
             sim.step()
         assert sim.core.loss_draws == 0
 
-    def test_build_csr_reexported_from_engine(self):
-        # Moved to channel.py; the engine import path is load-bearing.
-        from repro.radio.channel import build_csr as from_channel
-        from repro.radio.engine import build_csr as from_engine
-
-        assert from_engine is from_channel
-
 
 class TestCollisionPhy:
     def test_candidates_ascending_and_correct(self):

@@ -26,10 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BernoulliColoringNode, Parameters, run_coloring
+from repro._util import RngMeter
+from repro.core import BernoulliColoringNode, ColoringNode, Parameters, run_coloring
 from repro.core.protocol import build_simulator
 from repro.graphs import random_udg
-from repro.radio import CounterMessage
+from repro.radio import CounterMessage, TraceRecorder
+from repro.radio.channel import ChannelCore, CollisionPhy, MultiChannelPhy
+from repro.radio.engine import RadioSimulator
 from repro.wakeup import uniform_random
 
 BLOCK_SIZES = (1, 2, 3, 7, 17, 64, 1_000_000)
@@ -189,22 +192,69 @@ def test_classic_path_accepts_block():
     assert base.slots == blocked.slots
 
 
-def test_fire_run_work_is_pinned(monkeypatch):
-    """Exact work counters of one small contended run to completion
-    (``block=4096``, level 0).  Fire runs resolve and deliver every fire
-    slot drawn under one state in one call, build only the messages a
-    filtered delivery needs, and re-read only the nodes a delivery
-    changed; a drift in any count is a change in how much work the fast
-    path does."""
-    from repro.radio.channel import ChannelCore, CollisionPhy
-    from repro.radio.engine import RadioSimulator
+def _work_inputs(shape):
+    """A small input built like the ``bench/`` workload ``shape``, run to
+    completion in about a second: the deployment and the ``run_coloring``
+    keywords, ``block`` aside."""
+    fast = dict(seed=5, node_cls=BernoulliColoringNode, trace_level=0)
+    if shape == "sync-contended":
+        dep = random_udg(40, expected_degree=9, seed=3)
+        params = Parameters.practical(dep.n, max(2, dep.max_degree), 5, 18, scale=2)
+        return dep, dict(params=params, **fast)
+    if shape == "async-lossy-2ch":
+        dep = random_udg(24, expected_degree=8, seed=3)
+        params = Parameters.practical(dep.n, max(2, dep.max_degree), 5, 18, scale=4)
+        wake = uniform_random(dep.n, window=20 * dep.n, seed=7)
+        lossy = dict(wake_slots=wake, channels=2, loss_prob=0.2)
+        return dep, dict(params=params, **lossy, **fast)
+    dep = random_udg(30, expected_degree=9, seed=3, connected=True)
+    params = Parameters.for_deployment(dep, scale=2)
+    return dep, dict(params=params, seed=5, node_cls=ColoringNode, trace_level=1)
 
-    calls = dict.fromkeys(
-        ("node.deliver", "_refresh", "emit", "phy.resolve", "core.deliver"), 0
-    )
+
+#: Exact work counts per ``block`` of one run to completion of each
+#: input: slots, fire slots (slots with a transmission), bulk empty
+#: spans, stream skips and calls on the protocol stream, and the
+#: Python-level calls of each layer.  A blocked fast-path run resolves
+#: and delivers every fire slot drawn under one state in one call; its
+#: ``block=1`` twin does the same work slot by slot and must end in the
+#: same place.
+WORK_PINS = {
+    "sync-contended": {
+        4096: dict(slots=49229, fire_slots=19859, channel_empty=6, skip=1,
+                   rng_calls=436, step=0, deliver=10437, refresh=371, emit=2019,
+                   resolve=508, core_deliver=508),
+        1: dict(slots=49229, fire_slots=19859, channel_empty=0, skip=0,
+                rng_calls=49229, step=0, deliver=10437, refresh=371, emit=2019,
+                resolve=19859, core_deliver=19859),
+    },
+    "async-lossy-2ch": {
+        4096: dict(slots=44346, fire_slots=13012, channel_empty=41, skip=94,
+                   rng_calls=396, step=0, deliver=3405, refresh=204, emit=1564,
+                   resolve=423, core_deliver=423),
+        1: dict(slots=44346, fire_slots=13012, channel_empty=0, skip=0,
+                rng_calls=44346, step=0, deliver=3405, refresh=204, emit=1564,
+                resolve=13012, core_deliver=13012),
+    },
+    "e1-sweep": {
+        1: dict(slots=11361, fire_slots=6734, channel_empty=0, skip=0,
+                rng_calls=11585, step=340830, deliver=50060, refresh=0, emit=0,
+                resolve=6734, core_deliver=6734),
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WORK_PINS))
+def test_work_is_pinned(monkeypatch, shape):
+    """Exact, host-independent work counters of small runs to completion
+    shaped like the ``bench/`` workloads.  A drift in any count is a
+    change in how much work the engine does: a change that means it
+    re-pins the count and says why."""
+    calls = {}
 
     def count(owner, name, label):
         fn = getattr(owner, name)
+        calls[label] = 0
 
         def counted(*args, **kwargs):
             calls[label] += 1
@@ -212,25 +262,44 @@ def test_fire_run_work_is_pinned(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(BernoulliColoringNode, "deliver", "node.deliver")
-    count(RadioSimulator, "_refresh", "_refresh")
+    count(TraceRecorder, "channel_empty", "channel_empty")
+    count(RngMeter, "skip", "skip")
+    count(ColoringNode, "step", "step")
+    count(ColoringNode, "deliver", "deliver")
+    count(RadioSimulator, "_refresh", "refresh")
     count(BernoulliColoringNode, "emit", "emit")
-    count(CollisionPhy, "resolve", "phy.resolve")
-    count(ChannelCore, "deliver", "core.deliver")
-    dep = random_udg(40, expected_degree=9, seed=3)
-    params = Parameters.practical(dep.n, max(2, dep.max_degree), 5, 18, scale=2)
-    res = run_coloring(dep, params, seed=5, node_cls=BernoulliColoringNode,
-                       block=4096, trace_level=0)
-    assert res.completed and res.slots == 49229
-    tx = res.trace.channel_metrics.tx
-    assert len(tx) - tx.count(0) == 19859  # fire slots
-    assert calls == {
-        "node.deliver": 10437,
-        "_refresh": 371,
-        "emit": 2019,
-        "phy.resolve": 508,
-        "core.deliver": 508,
-    }
+    count(CollisionPhy, "resolve", "resolve")
+    count(MultiChannelPhy, "resolve", "resolve")
+    count(ChannelCore, "deliver", "core_deliver")
+    sims = []
+    run = RadioSimulator.run
+
+    def captured(sim, *args, **kwargs):
+        sims.append(sim)
+        return run(sim, *args, **kwargs)
+
+    monkeypatch.setattr(RadioSimulator, "run", captured)
+    dep, kwargs = _work_inputs(shape)
+    work, results = {}, {}
+    for block in WORK_PINS[shape]:
+        calls.update(dict.fromkeys(calls, 0))
+        sims.clear()
+        res = run_coloring(dep, block=block, **kwargs)
+        assert res.completed and res.proper
+        tx = res.trace.channel_metrics.tx
+        work[block] = dict(
+            slots=res.slots,
+            fire_slots=len(tx) - tx.count(0),
+            rng_calls=sims[0].rng.calls,
+            **calls,
+        )
+        results[block] = res
+    assert work == WORK_PINS[shape]
+    twin = results[1]
+    for res in results.values():
+        assert res.slots == twin.slots
+        assert np.array_equal(res.colors, twin.colors)
+        assert res.trace.channel_metrics.totals() == twin.trace.channel_metrics.totals()
 
 
 class _OversizeNode(BernoulliColoringNode):

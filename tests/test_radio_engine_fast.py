@@ -16,7 +16,6 @@ from repro.analysis import verify_run
 from repro.core import BernoulliColoringNode, Parameters, run_coloring
 from repro.core.protocol import build_simulator
 from repro.graphs import path_deployment, random_udg
-from repro.radio.engine import build_csr
 
 SEEDS = [3, 11, 29]
 
@@ -28,14 +27,14 @@ def make_dep(seed, n=40, degree=8.0):
 class TestBuildCsr:
     def test_matches_neighbor_lists(self):
         dep = make_dep(2)
-        indptr, indices = build_csr(dep)
+        indptr, indices = dep.csr
         assert indptr[0] == 0 and indptr[-1] == len(indices)
         for v in range(dep.n):
             got = sorted(indices[indptr[v] : indptr[v + 1]].tolist())
             assert got == sorted(int(u) for u in dep.neighbors[v])
 
     def test_path(self):
-        indptr, indices = build_csr(path_deployment(3))
+        indptr, indices = path_deployment(3).csr
         assert indptr.tolist() == [0, 1, 3, 4]
         assert indices[0] == 1 and indices[3] == 1
 
