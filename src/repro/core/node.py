@@ -13,7 +13,9 @@ observable but make the per-slot cost O(1):
 2. **Geometric transmission skips.**  Transmitting independently with
    probability ``p`` in every slot (L22) is equivalent to drawing the gap
    to the next transmission from a geometric distribution.  A node
-   therefore touches its RNG only when it actually transmits.
+   therefore touches its RNG only when it actually transmits, and
+   :meth:`ColoringNode.next_step_slot` hands that schedule to the
+   engine, which steps the node only at the slots where it can act.
 
 Both transformations follow the HPC guides' doctrine: find the per-slot
 hot path and make it do no work.
@@ -198,6 +200,28 @@ class ColoringNode(ProtocolNode):
         if phase is Phase.COLORED:
             return self._step_colored(slot, rng)
         return None  # pragma: no cover - sleeping nodes are never stepped
+
+    def next_step_slot(self, slot: int) -> int:
+        """The first slot after ``slot`` at which :meth:`step` can
+        transmit, draw or change state (the engine's classic route steps
+        the node only there); never below ``slot + 1``."""
+        phase = self.phase
+        if phase is Phase.VERIFY:
+            if not self._active:
+                due = self._wait_end  # L4 ends: activation draws
+            else:
+                due = min(self._decide_slot, self._next_tx)
+        elif phase is Phase.REQUEST:
+            # The first step in R draws the lazy schedule.
+            due = slot + 1 if self._next_tx == _FAR else self._next_tx
+        # Colored: the next announcement, and a leader's queue work.
+        elif self.index == 0 and self._serving is not None:
+            due = min(self._next_tx, self._serve_end)
+        elif self.index == 0 and self._queue:
+            due = slot + 1  # an idle leader starts serving at its next step
+        else:
+            due = self._next_tx
+        return max(due, slot + 1)
 
     def _step_verify(self, slot: int, rng: np.random.Generator) -> Message | None:
         if not self._active:

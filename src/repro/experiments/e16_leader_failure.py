@@ -48,9 +48,10 @@ class MortalNode(ColoringNode):
         return super().step(slot, rng)
 
     def deliver(self, slot, msg):
-        """Dead nodes never receive."""
-        if not self.dead:
-            super().deliver(slot, msg)
+        """Dead nodes never receive (and report no change)."""
+        if self.dead:
+            return False
+        return super().deliver(slot, msg)
 
 
 def run_with_leader_failures(

@@ -13,12 +13,17 @@ neighborhoods of wireless graphs are dense, so their MIS is tiny and a
 bitset branch-and-bound terminates almost immediately: we encode each
 induced subgraph into Python-int bitmasks and recurse with a popcount
 upper bound.  A greedy min-degree heuristic provides both the initial
-lower bound and a cheap standalone estimator.
+lower bound and a cheap standalone estimator.  ``kappa_1``/``kappa_2``
+run one search per neighborhood with the running maximum as the
+incumbent, so most neighborhoods are pruned at once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import networkx as nx
+import numpy as np
 
 from repro.graphs.deployment import Deployment
 
@@ -77,7 +82,7 @@ def _mis_size_bb(masks: list[int], candidates: int, best: int, size: int) -> int
     ``best`` the incumbent; prunes when even taking every candidate cannot
     beat the incumbent."""
     if candidates == 0:
-        return size
+        return max(best, size)
     if size + candidates.bit_count() <= best:
         return best
     # Pivot on the max-degree candidate: either it is excluded, or it is in
@@ -113,9 +118,16 @@ def max_independent_set_size(graph: nx.Graph, nodes: list[int] | None = None) ->
     node_list = sorted(graph.nodes) if nodes is None else sorted(set(nodes))
     if not node_list:
         return 0
-    masks = _bit_adjacency(graph, node_list)
-    all_mask = (1 << len(node_list)) - 1
-    incumbent = _greedy_mis_mask(masks, all_mask).bit_count()
+    return _mis_size_at_least(graph, node_list, 0)
+
+
+def _mis_size_at_least(graph: nx.Graph, nodes: list[int], floor: int) -> int:
+    """``max(floor, MIS size of the subgraph induced by nodes)``: the
+    branch-and-bound starts from the better of ``floor`` and the greedy
+    set, so it only searches for sets larger than both."""
+    masks = _bit_adjacency(graph, nodes)
+    all_mask = (1 << len(nodes)) - 1
+    incumbent = max(floor, _greedy_mis_mask(masks, all_mask).bit_count())
     return _mis_size_bb(masks, all_mask, incumbent, 0)
 
 
@@ -129,22 +141,30 @@ def mis_greedy_size(graph: nx.Graph, nodes: list[int] | None = None) -> int:
     return _greedy_mis_mask(masks, (1 << len(node_list)) - 1).bit_count()
 
 
+def _max_mis(dep: Deployment, hoods: Iterable[np.ndarray], exact: bool) -> int:
+    """Max MIS size over the (sorted) neighborhoods ``hoods``.  The running
+    maximum is the exact search's incumbent, and a neighborhood with no
+    more nodes than it cannot raise it, so it is skipped."""
+    best = 0
+    for hood in hoods:
+        if len(hood) <= best:
+            continue
+        nodes = hood.tolist()
+        if exact:
+            best = _mis_size_at_least(dep.graph, nodes, best)
+        else:
+            best = max(best, mis_greedy_size(dep.graph, nodes))
+    return best
+
+
 def kappa1(dep: Deployment, *, exact: bool = True) -> int:
     """``kappa_1``: max MIS size over all closed 1-hop neighborhoods."""
-    f = max_independent_set_size if exact else mis_greedy_size
-    best = 0
-    for v in range(dep.n):
-        best = max(best, f(dep.graph, dep.closed_neighborhood(v).tolist()))
-    return best
+    return _max_mis(dep, (dep.closed_neighborhood(v) for v in range(dep.n)), exact)
 
 
 def kappa2(dep: Deployment, *, exact: bool = True) -> int:
     """``kappa_2``: max MIS size over all 2-hop neighborhoods ``N_v^2``."""
-    f = max_independent_set_size if exact else mis_greedy_size
-    best = 0
-    for v in range(dep.n):
-        best = max(best, f(dep.graph, dep.two_hop[v].tolist()))
-    return best
+    return _max_mis(dep, dep.two_hop, exact)
 
 
 def kappas(dep: Deployment, *, exact: bool = True) -> tuple[int, int]:

@@ -29,10 +29,15 @@ nodes — the "compute on what's hot" advice from the HPC guides.
 
 Two transmission-collection paths share those channel semantics:
 
-- the **compatibility path** calls :meth:`ProtocolNode.step` on every
-  awake node (any node class works — baselines, the executable-spec
-  reference, ad-hoc test nodes); each slot with transmissions is a
-  fire run of one slot;
+- the **classic path** calls :meth:`ProtocolNode.step` per node, in
+  roster (wake) order; each slot with transmissions is a fire run of
+  one slot.  When every node has ``next_step_slot`` (see
+  :mod:`repro.radio.node`; :class:`~repro.core.node.ColoringNode` does)
+  it is event-driven: a node steps only at the slots where its step
+  can transmit, draw or change state, and a slot with none of them
+  calls no step at all.  Any other population (baselines, the
+  executable-spec reference, ad-hoc test nodes) steps every awake node
+  every slot;
 - the **vectorized fast path** activates automatically when *every* node
   implements the batched interface (see
   :class:`~repro.radio.node.ProtocolNode` and
@@ -188,6 +193,13 @@ class RadioSimulator(SlotSteppedSimulator):
         self._next_wake_slot = int(self.wake_slots[order[0]]) if n else _FAR
         self._awake: list[int] = []
         self._append_metrics = self.trace.channel_metrics.append
+        # Event-driven classic route, chosen by the node population alone
+        # (engaged iff every node has ``next_step_slot``): each node's
+        # next due step (_FAR while asleep) and the list's minimum.
+        # Without it ``_due_min`` stays 0, so every awake node steps
+        # every slot.
+        self._due: list[int] | None = None
+        self._due_min = 0
         # Vectorized fast path, chosen by the node population alone
         # (engaged iff every node implements the batched interface):
         # dense per-node send probabilities, next scheduled event slots
@@ -230,6 +242,10 @@ class RadioSimulator(SlotSteppedSimulator):
             self._advance = self.rng.generator.bit_generator.advance
             self.core.on_deliver = self._on_deliver
             self.core.keys = self._keys
+        elif n > 0 and all(hasattr(node, "next_step_slot") for node in self.nodes):
+            self._due = [_FAR] * n
+            self._due_min = _FAR
+            self.core.on_deliver = self._on_deliver_classic
 
     # ------------------------------------------------------------------
     @property
@@ -271,6 +287,17 @@ class RadioSimulator(SlotSteppedSimulator):
         ``False`` is re-read; a real change cuts the fire run."""
         return report is not False and self._refresh(u)
 
+    def _on_deliver_classic(self, u: int, msg: Message, report: bool | None) -> bool:
+        """Core delivery hook of the event-driven classic route: a node
+        whose ``deliver`` did not report ``False`` has its due step
+        re-read.  Never cuts (classic fire runs are one slot long)."""
+        if report is not False:
+            assert self._due is not None
+            due = self._due[u] = self.nodes[u].next_step_slot(self.slot)
+            if due < self._due_min:
+                self._due_min = due
+        return False
+
     def _wake_due(self, t: int) -> None:
         """Phase 1: wake nodes whose wake slot is ``t``."""
         vectorized = self.vectorized
@@ -289,6 +316,10 @@ class RadioSimulator(SlotSteppedSimulator):
                 # would be dead work and memory held for the whole run.
                 self._refresh(v)
             else:
+                if self._due is not None:
+                    due = self._due[v] = self.nodes[v].next_step_slot(t - 1)
+                    if due < self._due_min:
+                        self._due_min = due
                 self._awake.append(v)
         self._next_wake_slot = (
             int(self.wake_slots[order[self._next_wake]])
@@ -314,15 +345,31 @@ class RadioSimulator(SlotSteppedSimulator):
         return self._active
 
     def _collect_classic(self, t: int) -> list[tuple[int, Message]]:
-        """Phase 2 (compatibility path): per-node protocol steps."""
+        """Phase 2 (classic route): per-node protocol steps, in roster
+        (wake) order.
+
+        On the event-driven route only the nodes due at ``t`` step,
+        still in roster order, so the protocol stream is drawn in the
+        per-slot order; a node skipped here would have returned
+        ``None``, drawn nothing and changed nothing.  A slot with
+        nothing due returns at once."""
         outbox: list[tuple[int, Message]] = []
+        if self._due_min > t:
+            return outbox
         rng = self.rng
         nodes = self.nodes
         record_tx = self.core.record_tx
-        for v in self._awake:
-            msg = nodes[v].step(t, rng)
+        awake = self._awake
+        due = self._due
+        for v in awake if due is None else [v for v in awake if due[v] <= t]:
+            node = nodes[v]
+            msg = node.step(t, rng)
+            if due is not None:
+                due[v] = node.next_step_slot(t)
             if msg is not None:
                 record_tx(t, v, msg, outbox)
+        if due is not None:
+            self._due_min = min(due)
         return outbox
 
     def _collect_vectorized(self, t: int) -> np.ndarray:

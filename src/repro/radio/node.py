@@ -43,6 +43,20 @@ The engine caches the send probability, the event slot and the keys of
 every node and re-reads them after wakes, events and deliveries; all
 fire slots drawn under one cached state are resolved together, and the
 run is cut after the first slot whose deliveries change it.
+
+Event-driven classic stepping
+-----------------------------
+A node class driven by ``step`` may also implement
+``next_step_slot(slot) -> int``: the first slot after ``slot`` at which
+``step`` can transmit, draw or change state, never below ``slot + 1``.
+When every node has it, the engine's classic route steps a node only
+at that slot (:class:`~repro.core.node.ColoringNode` is the
+reference), re-reading it at wake (as ``next_step_slot(wake - 1)``),
+after each step, and after each delivery.  A step it skips must be one
+that would have returned ``None``, drawn nothing and changed nothing.
+The ``deliver`` rule above governs this route too: ``deliver`` returns
+``False`` only if nothing cached changed, here ``next_step_slot``, and
+the engine then skips the re-read.
 """
 
 from __future__ import annotations
@@ -94,7 +108,8 @@ class ProtocolNode(ABC):
         have changed ``tx_prob()``, ``next_event_slot()``,
         ``listen_key()`` or ``message_keys()``; the engine then skips
         re-reading them.  Any other return value, ``None`` included,
-        makes it re-read all four.
+        makes it re-read all four.  On the event-driven classic route
+        the same rule covers ``next_step_slot``.
         """
 
     @property

@@ -9,7 +9,8 @@ only if
 - a delivery the filter drops would have left the receiver untouched
   (every ``__slots__`` field unchanged), and
 - a delivery reported as "no change" really left the four cached
-  quantities unchanged.
+  quantities unchanged, and ``next_step_slot`` too: the classic route
+  re-reads a node's due step under the same rule.
 
 Every :class:`BernoulliColoringNode` state is crossed with every kind
 of message, each built by a real sender node so its keys are the ones
@@ -113,8 +114,14 @@ def _fields(node):
 
 
 def _cached(node):
-    """What the engine caches per node."""
-    return (node.tx_prob(), node.next_event_slot(), node.listen_key(), node.message_keys())
+    """What the engine caches per node (on either route)."""
+    return (
+        node.tx_prob(),
+        node.next_event_slot(),
+        node.listen_key(),
+        node.message_keys(),
+        node.next_step_slot(SLOT),
+    )
 
 
 @pytest.mark.parametrize("sender", sorted(SENDERS))

@@ -1,6 +1,7 @@
 """Tests for kappa_1 / kappa_2 and exact MIS computation."""
 
 import networkx as nx
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +14,12 @@ from repro.graphs import (
     kappas,
     max_independent_set_size,
     mis_greedy_size,
+    quasi_udg,
     random_udg,
     ring_deployment,
     star_deployment,
 )
+from repro.graphs.independence import _mis_size_at_least
 
 
 class TestExactMis:
@@ -43,18 +46,26 @@ class TestExactMis:
         g = nx.cycle_graph(8)
         assert max_independent_set_size(g, nodes=[0, 1, 2]) == 2
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 9), st.floats(0.1, 0.9), st.integers(0, 10**6))
-    def test_matches_networkx_bruteforce(self, n, p, seed):
+    def test_incumbent_never_lost(self):
+        # The search once returned a leaf's size below a better
+        # incumbent: this graph's MIS of 3 came out as 2.
+        assert max_independent_set_size(nx.gnp_random_graph(8, 0.6, seed=6)) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.floats(0.1, 0.9), st.integers(0, 10**6), st.integers(0, 12))
+    def test_matches_networkx_bruteforce(self, n, p, seed, floor):
         g = nx.gnp_random_graph(n, p, seed=seed)
-        # Brute force over all subsets (n <= 9).
-        best = 0
-        nodes = list(g.nodes)
-        for mask in range(1 << n):
-            sel = [nodes[i] for i in range(n) if mask >> i & 1]
-            if all(not g.has_edge(a, b) for i, a in enumerate(sel) for b in sel[i + 1 :]):
-                best = max(best, len(sel))
+        best = _bruteforce_mis(g, list(g.nodes))
         assert max_independent_set_size(g) == best
+        # A starting incumbent (kappa's running maximum) may only ever
+        # raise the result to itself.
+        assert _mis_size_at_least(g, sorted(g.nodes), floor) == max(floor, best)
+
+
+def _bruteforce_mis(g, nodes):
+    """MIS size of the subgraph induced by ``nodes``: the largest clique
+    of its complement, over every maximal clique."""
+    return max(map(len, nx.find_cliques(nx.complement(g.subgraph(nodes)))), default=0)
 
 
 class TestGreedyMis:
@@ -95,6 +106,22 @@ class TestKappas:
         dep = random_udg(60, expected_degree=8, seed=1)
         k1g = kappa1(dep, exact=False)
         assert 1 <= k1g <= kappa1(dep, exact=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.floats(3.0, 10.0),
+        st.integers(0, 10**6),
+        st.booleans(),
+    )
+    def test_match_bruteforce_per_neighborhood(self, n, degree, seed, quasi):
+        if quasi:
+            dep = quasi_udg(n, 1.0, 1.6, side=float(np.sqrt(n * np.pi / degree)), seed=seed)
+        else:
+            dep = random_udg(n, expected_degree=degree, seed=seed)
+        k1 = max(_bruteforce_mis(dep.graph, dep.closed_neighborhood(v).tolist()) for v in range(n))
+        k2 = max(_bruteforce_mis(dep.graph, dep.two_hop[v].tolist()) for v in range(n))
+        assert kappas(dep) == (k1, k2)
 
 
 class TestFig1Example:

@@ -238,7 +238,7 @@ WORK_PINS = {
     },
     "e1-sweep": {
         1: dict(slots=11361, fire_slots=6734, channel_empty=0, skip=0,
-                rng_calls=11585, step=340830, deliver=50060, refresh=0, emit=0,
+                rng_calls=11585, step=11608, deliver=50060, refresh=0, emit=0,
                 resolve=6734, core_deliver=6734),
     },
 }
