@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.verify import check_proper_coloring
 from repro.graphs.deployment import Deployment
 from repro.radio.engine import RadioSimulator
 from repro.radio.messages import Message
@@ -164,10 +165,8 @@ class FrameColoringResult:
 
     @property
     def proper(self) -> bool:
-        c = self.colors
-        return all(
-            c[u] < 0 or c[v] < 0 or c[u] != c[v] for u, v in self.deployment.graph.edges
-        )
+        """No two adjacent decided nodes share a color."""
+        return not check_proper_coloring(self.deployment, self.colors)
 
     @property
     def max_color(self) -> int:

@@ -20,7 +20,6 @@ import numpy as np
 from repro.core.node import ColoringNode
 from repro.core.params import Parameters, suggested_max_slots
 from repro.core.protocol import build_simulator
-from repro.radio.engine import RadioSimulator
 from repro.graphs.deployment import Deployment
 from repro.radio.trace import TraceRecorder
 
@@ -42,26 +41,37 @@ class MisResult:
     @property
     def independent(self) -> bool:
         """Leaders are pairwise non-adjacent."""
-        m = self.in_mis
-        return not any(m[u] and m[v] for u, v in self.deployment.graph.edges)
+        from repro.analysis.verify import check_leader_set
+
+        return not check_leader_set(self.deployment, self._colors(), require_maximal=False)
 
     @property
     def maximal(self) -> bool:
         """Every non-leader has a leader neighbor (only meaningful for
         completed runs)."""
-        m = self.in_mis
-        return all(
-            m[v] or any(m[u] for u in self.deployment.neighbors[v])
-            for v in range(self.deployment.n)
-        )
+        from repro.analysis.verify import check_leader_set
+
+        problems = check_leader_set(self.deployment, self._colors())
+        return not any(p.startswith("non-leader") for p in problems)
+
+    def _colors(self) -> np.ndarray:
+        """Leaders as color 0, every other node as color 1."""
+        return np.where(self.in_mis, 0, 1)
 
     def election_times(self) -> np.ndarray:
         """Per-node slots from own wake-up until covered (leader decision
-        or leader association), -1 if never covered."""
-        return self._cover_slots - self.trace.wake_slot
-
-    # filled by run_mis
-    _cover_slots: np.ndarray = None  # type: ignore[assignment]
+        or leader association), -1 if never covered.  Read from the
+        level-1 trace: a leader is covered at its ``C_0`` decision, any
+        other node at its first entry into ``R``."""
+        trace = self.trace
+        cover = np.where(self.in_mis, trace.decide_slot, -1)
+        for event in trace.events_of_kind("state"):
+            if event.data["state"] == "R" and cover[event.node] < 0:
+                cover[event.node] = event.slot
+        covered = cover >= 0
+        out = np.full(trace.n, -1, dtype=np.int64)
+        out[covered] = cover[covered] - trace.wake_slot[covered]
+        return out
 
 
 def run_mis(
@@ -90,26 +100,13 @@ def run_mis(
         # full budget more than suffices.
         max_slots = suggested_max_slots(params, wake_max)
 
-    cover_slots = np.full(dep.n, -1, dtype=np.int64)
-
     def covered(node: ColoringNode) -> bool:
         return node.color == 0 or node.leader is not None
 
-    def stop(s: RadioSimulator) -> bool:
-        done = True
-        for v, node in enumerate(nodes):
-            if covered(node):
-                if cover_slots[v] < 0:
-                    cover_slots[v] = s.slot
-            else:
-                done = False
-        return done
-
-    res = sim.run(max_slots, stop_when=stop)
-    stop(sim)  # final bookkeeping for nodes covered on the last slots
+    res = sim.run(max_slots, stop_when=lambda s: all(covered(node) for node in nodes))
     in_mis = np.array([node.color == 0 for node in nodes], dtype=bool)
     covered_mask = np.array([covered(node) for node in nodes], dtype=bool)
-    out = MisResult(
+    return MisResult(
         deployment=dep,
         params=params,
         in_mis=in_mis,
@@ -118,5 +115,3 @@ def run_mis(
         completed=bool(covered_mask.all()),
         trace=sim.trace,
     )
-    out._cover_slots = cover_slots
-    return out

@@ -10,12 +10,18 @@ observable but make the per-slot cost O(1):
    ``value_at_ref + (slot - ref_slot)``.  Increments become free and the
    threshold crossing (L19) becomes a precomputed slot number.
 
-2. **Geometric transmission skips.**  Transmitting independently with
-   probability ``p`` in every slot (L22) is equivalent to drawing the gap
-   to the next transmission from a geometric distribution.  A node
-   therefore touches its RNG only when it actually transmits, and
+2. **Geometric transmission skips.**  The state machine's only random
+   step is the per-slot transmit coin (Alg. 1 L22, Alg. 2 L2, Alg. 3
+   L3/L14/L19).  Flipping it with probability ``p`` in every slot is
+   equivalent to drawing the gap to the next transmission from a
+   geometric distribution, which :meth:`ColoringNode.step` does after
+   applying the scheduled transitions (:meth:`ColoringNode.on_event`).
+   A node therefore touches its RNG only when its send probability
+   turns positive and when it transmits, and
    :meth:`ColoringNode.next_step_slot` hands that schedule to the
    engine, which steps the node only at the slots where it can act.
+   :class:`~repro.core.vector_node.BernoulliColoringNode` runs the same
+   transitions and messages with the coin drawn by the engine.
 
 Both transformations follow the HPC guides' doctrine: find the per-slot
 hot path and make it do no work.
@@ -72,6 +78,7 @@ class ColoringNode(ProtocolNode):
         "_tc_counter",
         "_serving",
         "_serve_end",
+        "_queue_ready",
         "resets",
         "states_visited",
         "min_counter",
@@ -103,6 +110,7 @@ class ColoringNode(ProtocolNode):
         self._tc_counter = 0  # tc (Alg.3 L7)
         self._serving: tuple[int, int] | None = None  # (target, tc)
         self._serve_end = _FAR
+        self._queue_ready = _FAR  # idle leader's start on a queued request
         # --- instrumentation ---
         self.resets = 0  # counter resets taken (Alg.1 L29)
         self.states_visited: list[str] = []
@@ -187,91 +195,40 @@ class ColoringNode(ProtocolNode):
             self.min_counter = value
 
     # ------------------------------------------------------------------
-    # Slot step (transmit phase)
+    # Scheduled transitions (no input, no randomness)
     # ------------------------------------------------------------------
-    def step(self, slot: int, rng: np.random.Generator) -> Message | None:
-        """One slot of local computation; returns a message to transmit
-        or None to listen (the engine's phase-2 hook)."""
+    def next_event_slot(self) -> int:
+        """Next slot at which this node's state changes without input:
+        the end of the Alg. 1 L4 listening period, the L19 threshold
+        crossing, a leader's serve-window end, or an idle leader's start
+        on a queued request (Alg. 3 L16-21)."""
         phase = self.phase
         if phase is Phase.VERIFY:
-            return self._step_verify(slot, rng)
-        if phase is Phase.REQUEST:
-            return self._step_request(slot, rng)
-        if phase is Phase.COLORED:
-            return self._step_colored(slot, rng)
-        return None  # pragma: no cover - sleeping nodes are never stepped
+            return self._decide_slot if self._active else self._wait_end
+        if phase is Phase.COLORED and self.index == 0:
+            if self._serving is not None:
+                return self._serve_end
+            if self._queue:
+                return self._queue_ready
+        return _FAR
 
-    def next_step_slot(self, slot: int) -> int:
-        """The first slot after ``slot`` at which :meth:`step` can
-        transmit, draw or change state (the engine's classic route steps
-        the node only there); never below ``slot + 1``."""
-        phase = self.phase
-        if phase is Phase.VERIFY:
-            if not self._active:
-                due = self._wait_end  # L4 ends: activation draws
-            else:
-                due = min(self._decide_slot, self._next_tx)
-        elif phase is Phase.REQUEST:
-            # The first step in R draws the lazy schedule.
-            due = slot + 1 if self._next_tx == _FAR else self._next_tx
-        # Colored: the next announcement, and a leader's queue work.
-        elif self.index == 0 and self._serving is not None:
-            due = min(self._next_tx, self._serve_end)
-        elif self.index == 0 and self._queue:
-            due = slot + 1  # an idle leader starts serving at its next step
-        else:
-            due = self._next_tx
-        return max(due, slot + 1)
+    def on_event(self, slot: int) -> None:
+        """Apply all scheduled transitions due at ``slot``."""
+        if self.phase is Phase.VERIFY:
+            if not self._active and slot >= self._wait_end:
+                # L15: become active; c_v := chi(P_v), evaluated after
+                # the last passive slot's increments.
+                self._active = True
+                self._set_counter(self._chi(slot - 1), slot - 1)
+            # L17-18: increments are implicit in the lazy representation.
+            if self._active and slot >= self._decide_slot:
+                # L19-20: threshold reached -> decide color i, start Alg. 3.
+                self._enter_colored(self.index, slot)
+        if self.phase is Phase.COLORED and self.index == 0:
+            self._leader_tick(slot)
 
-    def _step_verify(self, slot: int, rng: np.random.Generator) -> Message | None:
-        if not self._active:
-            if slot < self._wait_end:
-                return None  # L4: still listening passively
-            # L15: become active; c_v := chi(P_v), evaluated after the
-            # last passive slot's increments.
-            self._active = True
-            self._set_counter(self._chi(slot - 1), slot - 1)
-            self._next_tx = (slot - 1) + int(rng.geometric(self.params.p_active))
-        # L17-18: increments are implicit in the lazy representation.
-        if slot >= self._decide_slot:
-            # L19-20: threshold reached -> decide color i, start Alg. 3.
-            self._enter_colored(self.index, slot)
-            return self._step_colored(slot, rng, fresh=True)
-        if slot >= self._next_tx:
-            # L22: transmit M_A^i(v, c_v) with probability 1/(kappa2*Delta).
-            self._next_tx = slot + int(rng.geometric(self.params.p_active))
-            return CounterMessage(
-                sender=self.vid, color=self.index, counter=self.counter(slot)
-            )
-        return None
-
-    def _step_request(self, slot: int, rng: np.random.Generator) -> Message | None:
-        if self._next_tx == _FAR:
-            self._next_tx = (slot - 1) + int(rng.geometric(self.params.p_active))
-        if slot >= self._next_tx:
-            # Alg. 2 L2: request an intra-cluster color from the leader.
-            self._next_tx = slot + int(rng.geometric(self.params.p_active))
-            assert self.leader is not None
-            return RequestMessage(sender=self.vid, leader=self.leader)
-        return None
-
-    def _step_colored(
-        self, slot: int, rng: np.random.Generator, fresh: bool = False
-    ) -> Message | None:
-        p = self.params
-        if self.index > 0:
-            # Alg. 3 L3-5: keep announcing the chosen color.
-            if fresh:
-                self._next_tx = (slot - 1) + int(rng.geometric(p.p_active))
-            if slot >= self._next_tx:
-                self._next_tx = slot + int(rng.geometric(p.p_active))
-                return ColorMessage(sender=self.vid, color=self.index)
-            return None
-
-        # Leader (C_0), Alg. 3 L6-23.
-        if fresh:
-            self._next_tx = (slot - 1) + int(rng.geometric(p.p_leader))
-        # Serving-window bookkeeping (L18-21).
+    def _leader_tick(self, slot: int) -> None:
+        """Serving-window bookkeeping of a leader (Alg. 3 L16-21)."""
         if self._serving is not None and slot >= self._serve_end:
             done = self._queue.popleft()  # L21
             self._queued.discard(done)
@@ -280,16 +237,78 @@ class ColoringNode(ProtocolNode):
             # L16-18: next request; tc is incremented per served node.
             self._tc_counter += 1
             self._serving = (self._queue[0], self._tc_counter)
-            self._serve_end = slot + p.serve_window
-        if slot >= self._next_tx:
-            self._next_tx = slot + int(rng.geometric(p.p_leader))
+            self._serve_end = slot + self.params.serve_window
+        self._queue_ready = _FAR
+
+    # ------------------------------------------------------------------
+    # Transmission
+    # ------------------------------------------------------------------
+    def _send_prob(self) -> float:
+        """Current per-slot transmission probability (Alg. 1 L22 /
+        Alg. 2 L2 / Alg. 3 L3, L14, L19); 0 while passive or asleep."""
+        phase = self.phase
+        if phase is Phase.VERIFY:
+            return self.params.p_active if self._active else 0.0
+        if phase is Phase.REQUEST:
+            return self.params.p_active
+        if phase is Phase.COLORED:
+            return self.params.p_active if self.index > 0 else self.params.p_leader
+        return 0.0  # sleeping
+
+    def emit(self, slot: int) -> Message:
+        """The message of a slot whose transmit coin fired (pure: reads
+        node state, changes nothing)."""
+        phase = self.phase
+        if phase is Phase.VERIFY and self._active:
+            # L22: M_A^i(v, c_v).
+            return CounterMessage(
+                sender=self.vid, color=self.index, counter=self.counter(slot)
+            )
+        if phase is Phase.REQUEST:
+            # Alg. 2 L2: request an intra-cluster color from the leader.
+            assert self.leader is not None
+            return RequestMessage(sender=self.vid, leader=self.leader)
+        if phase is Phase.COLORED:
+            if self.index > 0:
+                return ColorMessage(sender=self.vid, color=self.index)  # Alg. 3 L3
             if self._serving is not None:
                 target, tc = self._serving
                 # L19: transmit M_C^0(v, w, tc).
                 return AssignMessage(sender=self.vid, color=0, target=target, tc=tc)
-            # L14: idle leader announces itself.
-            return ColorMessage(sender=self.vid, color=0)
-        return None
+            return ColorMessage(sender=self.vid, color=0)  # L14: idle leader
+        # Passive and sleeping nodes send with probability 0.
+        raise RuntimeError(f"node {self.vid} cannot transmit")  # pragma: no cover
+
+    def step(self, slot: int, rng: np.random.Generator) -> Message | None:
+        """One slot of local computation; returns a message to transmit
+        or None to listen (the engine's phase-2 hook).
+
+        Applies the transitions due at ``slot``, then flips the slot's
+        transmit coin by geometric skips: the gap to the next
+        transmission is drawn when the send probability turns positive
+        (activation, entering ``C_i``, the first step in ``R``) and once
+        per transmission."""
+        self.on_event(slot)
+        p = self._send_prob()
+        if p == 0.0:
+            return None
+        if self._next_tx == _FAR:
+            self._next_tx = (slot - 1) + int(rng.geometric(p))
+        if slot < self._next_tx:
+            return None
+        self._next_tx = slot + int(rng.geometric(p))
+        return self.emit(slot)
+
+    def next_step_slot(self, slot: int) -> int:
+        """The first slot after ``slot`` at which :meth:`step` can
+        transmit, draw or change state (the engine's classic route steps
+        the node only there); never below ``slot + 1``."""
+        due = self.next_event_slot()
+        if self._send_prob() > 0.0:
+            # The next transmission, or the next slot while the first
+            # draw of the schedule is pending.
+            due = min(due, slot + 1 if self._next_tx == _FAR else self._next_tx)
+        return max(due, slot + 1)
 
     # ------------------------------------------------------------------
     # Reception (end of slot)
@@ -351,6 +370,9 @@ class ColoringNode(ProtocolNode):
             and msg.leader == self.vid
             and msg.sender not in self._queued
         ):
+            if self._serving is None and not self._queue:
+                # An idle leader starts serving it at the next slot.
+                self._queue_ready = slot + 1
             self._queue.append(msg.sender)
             self._queued.add(msg.sender)
             return True

@@ -9,9 +9,10 @@ three protocol-specific decisions that were hard-wired into
 :func:`~repro.core.protocol.run_coloring` —
 
 - the **per-node behavior factory**: which node class implements the
-  protocol on the classic per-node path and which on the vectorized
-  fast path (the batched ``tx_prob``/``next_event_slot``/``on_event``/
-  ``emit`` stepper interface);
+  protocol on the classic per-node path (the node flips its own
+  transmit coin in ``step``) and which on the vectorized fast path
+  (the engine flips it; the class adds ``tx_prob`` and the delivery
+  keys to the same state machine);
 - the **completion predicate**: when a run is finished — all nodes
   color-decided for the paper's algorithm, all nodes covered by a
   leader for plain MIS;
@@ -85,10 +86,10 @@ class ColoringProtocol(ABC):
     def node_cls(self, *, vectorized: bool = False) -> type[ColoringNode]:
         """Per-node behavior class for one engine path.
 
-        ``vectorized=True`` selects the batched stepper implementation
-        (the ``tx_prob``/``next_event_slot``/``on_event``/``emit``
-        interface the fast path drives); ``False`` the classic per-node
-        ``step`` implementation.
+        ``vectorized=True`` selects the class whose transmit coin the
+        engine draws (it has ``tx_prob``, which routes the population
+        onto the fast path); ``False`` the class that draws its own
+        coin in ``step``.  Both run the same state machine.
         """
 
     @abstractmethod
@@ -116,7 +117,7 @@ class Mw05Protocol(ColoringProtocol):
     description = "the paper's full coloring protocol (Algorithms 1-3)"
 
     def node_cls(self, *, vectorized: bool = False) -> type[ColoringNode]:
-        """The optimized MW05 node; its Bernoulli stepper when vectorized."""
+        """The MW05 node; its engine-drawn-coin subclass when vectorized."""
         return BernoulliColoringNode if vectorized else ColoringNode
 
     def completed(self, trace: TraceRecorder, nodes: Sequence[ColoringNode]) -> bool:

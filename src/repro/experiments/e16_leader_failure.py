@@ -21,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.analysis.verify import check_proper_coloring
 from repro.core import Parameters
 from repro.core.node import ColoringNode
 from repro.core.protocol import build_simulator
@@ -132,13 +133,9 @@ def _one(seed: int, n: int, degree: float, kill_fraction: float, kill_at: float)
         if nodes[v].leader in killed_set or nodes[v].leader is None
     )
     colors = np.array([nd.color for nd in nodes])
-    proper = all(
-        colors[u] < 0 or colors[v] < 0 or colors[u] != colors[v]
-        for u, v in dep.graph.edges
-    )
     return {
         "killed": len(killed),
         "stuck": len(stuck),
         "stuck_explained": (explained / len(stuck)) if stuck else 1.0,
-        "proper": proper,
+        "proper": not check_proper_coloring(dep, colors),
     }

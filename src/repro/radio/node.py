@@ -20,8 +20,9 @@ The batched interface
 ---------------------
 A node class may additionally implement the methods the engine's
 vectorized fast path drives (:class:`~repro.core.vector_node.
-BernoulliColoringNode` is the reference); the fast path engages only
-when every node does:
+BernoulliColoringNode` implements them, with the transitions and
+messages of :class:`~repro.core.node.ColoringNode`); the fast path
+engages only when every node has ``tx_prob``:
 
 - ``tx_prob() -> float`` — the per-slot send probability; the engine
   draws every node's transmit Bernoulli itself;

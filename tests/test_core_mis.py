@@ -1,10 +1,27 @@
 """Tests for standalone leader election (MIS from scratch)."""
 
+import numpy as np
 import pytest
 
-from repro.core import run_mis
+from repro.core import MisResult, Parameters, run_mis
 from repro.graphs import clique_deployment, path_deployment, random_udg, ring_deployment
+from repro.radio import TraceRecorder
 from repro.wakeup import sequential
+
+
+def _mis_result(dep, leaders):
+    """A hand-built result electing ``leaders`` on ``dep``."""
+    in_mis = np.zeros(dep.n, dtype=bool)
+    in_mis[leaders] = True
+    return MisResult(
+        deployment=dep,
+        params=Parameters.practical(dep.n, 2, 1, 2),
+        in_mis=in_mis,
+        covered=in_mis.copy(),
+        slots=0,
+        completed=False,
+        trace=TraceRecorder(dep.n),
+    )
 
 
 class TestRunMis:
@@ -50,6 +67,31 @@ class TestRunMis:
         res = run_mis(dep, seed=70)
         times = res.election_times()
         assert (times >= 0).all()
+
+    def test_election_times_exact_under_asynchronous_wakeup(self):
+        # Cover slots come from the trace, not from the stop predicate
+        # (which runs every few slots and only after the last wake-up).
+        dep = ring_deployment(12)
+        ws = sequential(dep.n, gap=30, seed=2)
+        res = run_mis(dep, wake_slots=ws, seed=6)
+        assert res.completed
+        leaders = res.in_mis
+        times = res.election_times()
+        assert np.array_equal(times[leaders], res.trace.decision_times()[leaders])
+        assert (times >= 0).all()
+        capped = run_mis(dep, wake_slots=ws, seed=6, max_slots=100)
+        assert not capped.covered.all()
+        assert (capped.election_times()[~capped.covered] == -1).all()
+
+    def test_adjacent_leaders_not_independent(self):
+        res = _mis_result(path_deployment(3), [0, 1])
+        assert res.independent is False
+        assert res.maximal is True
+
+    def test_uncovered_node_not_maximal(self):
+        res = _mis_result(path_deployment(3), [0])
+        assert res.maximal is False
+        assert res.independent is True
 
     def test_slot_cap(self):
         dep = path_deployment(5)

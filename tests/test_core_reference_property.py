@@ -3,7 +3,8 @@
 The scripted differential tests in ``test_core_reference.py`` cover
 hand-picked scenarios; here Hypothesis generates *arbitrary* message
 scripts and slot interleavings and requires the optimized
-:class:`ColoringNode` and the executable-spec
+:class:`ColoringNode`, a :class:`BernoulliColoringNode` driven the way
+the vectorized engine drives it, and the executable-spec
 :class:`ReferenceColoringNode` to remain in lockstep at every step —
 same transmissions (type, payload), same state labels, same counters,
 same instrumentation.
@@ -14,7 +15,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ColoringNode, Parameters
+from repro.core import BernoulliColoringNode, ColoringNode, Parameters
 from repro.core.reference import ReferenceColoringNode
 from repro.radio import AssignMessage, ColorMessage, CounterMessage, RequestMessage
 
@@ -56,6 +57,15 @@ def messages_strategy():
     return st.one_of(counter_msg, color_msg, assign_msg, request_msg)
 
 
+def engine_step(node, slot):
+    """One slot of ``node`` as the vectorized engine drives it: the due
+    scheduled transitions, then a transmit coin that always fires (the
+    engine-side twin of :class:`AlwaysTransmit`)."""
+    if node.next_event_slot() <= slot:
+        node.on_event(slot)
+    return node.emit(slot) if node.tx_prob() > 0 else None
+
+
 # A script: per step either advance the slot or deliver a message.
 script_strategy = st.lists(
     st.one_of(st.none(), messages_strategy()), min_size=1, max_size=160
@@ -80,27 +90,34 @@ def observe(node, slot, msg):
 
 
 @settings(max_examples=300, deadline=None)
-@given(script_strategy)
-def test_lockstep_under_arbitrary_scripts(script):
+# A quiet lead-in of 30 or more slots after the wake-up slot makes the
+# node a leader (active from slot 8, threshold 23 reached at slot 30)
+# before the script starts, so queued requests, serving windows and
+# assignments are exercised too; scripts alone almost never get there.
+@given(st.integers(0, 40), script_strategy)
+def test_lockstep_under_arbitrary_scripts(lead_in, script):
     p = params()
     opt = ColoringNode(0, p)
     ref = ReferenceColoringNode(0, p)
+    vec = BernoulliColoringNode(0, p)
     rng = AlwaysTransmit()
-    opt.wake(0)
-    ref.wake(0)
+    for node in (opt, ref, vec):
+        node.wake(0)
     # Engine slot order: a slot's transmit phase (step) comes first and
     # its receptions (deliver) follow under the same slot number, as in
     # the scripted tests.  The leading None steps the wake-up slot.
     slot = -1
-    for action in [None, *script]:
+    for action in [None] * (1 + lead_in) + script:
         if action is None:
             slot += 1
             a = observe(opt, slot, opt.step(slot, rng))
             b = observe(ref, slot, ref.step(slot, rng))
+            c = observe(vec, slot, engine_step(vec, slot))
             assert a == b, f"diverged at slot {slot}: {a} != {b}"
+            assert c == b, f"batched node diverged at slot {slot}: {c} != {b}"
         else:
-            opt.deliver(slot, action)
-            ref.deliver(slot, action)
-            assert opt.state.label == ref.state.label
-            assert opt.resets == ref.resets
-    assert opt.states_visited == ref.states_visited
+            for node in (opt, ref, vec):
+                node.deliver(slot, action)
+            assert opt.state.label == ref.state.label == vec.state.label
+            assert opt.resets == ref.resets == vec.resets
+    assert opt.states_visited == ref.states_visited == vec.states_visited

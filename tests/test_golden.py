@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import run_coloring
+from repro.analysis import verify_run
 from repro.core import run_mis
 from repro.graphs import random_udg, ring_deployment
 
@@ -214,6 +215,13 @@ class TestGoldenColoring:
             "444a3db2d6935b4ebb7f23baf7948f2e0dd0ce41dc392dc2086255c109e82290"
         )
         assert int((res.colors >= 0).sum()) == 57
+        # Theorem 2 and the leader structure hold on the decided part;
+        # the run is capped, so only the undecided count keeps it from ok.
+        report = verify_run(res)
+        assert report.proper_violations == []
+        assert report.temporal_violations == []
+        assert report.leader_problems == []
+        assert len(report.undecided) == 10_000 - 57
 
     def test_ring_colors_pinned(self):
         res = run_coloring(ring_deployment(10), seed=3)
