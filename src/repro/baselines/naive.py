@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.node import ColoringNode
 from repro.core.params import Parameters, suggested_max_slots
-from repro.core.protocol import ColoringResult
+from repro.core.protocol import DEFAULT_BLOCK, ColoringResult
 from repro.graphs.deployment import Deployment
 from repro.radio.engine import RadioSimulator
 from repro.radio.messages import ColorMessage, CounterMessage, Message
@@ -81,7 +81,11 @@ def run_naive_coloring(
     if max_slots is None:
         max_slots = suggested_max_slots(params, int(np.max(wake_slots)))
     decide_slot = trace.decide_slot
-    res = sim.run(max_slots, stop_when=lambda s: bool((decide_slot >= 0).all()))
+    res = sim.run(
+        max_slots,
+        stop_when=lambda s: bool((decide_slot >= 0).all()),
+        block=DEFAULT_BLOCK,
+    )
     colors = np.array([n.color for n in nodes], dtype=np.int64)
     tcs = np.array([-1 if n.tc is None else n.tc for n in nodes], dtype=np.int64)
     return ColoringResult(

@@ -232,10 +232,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     conform.add_argument(
         "--block", type=int, default=0, metavar="B",
-        help="compare the vectorized engine's block-stepped mode "
-        "(step_block with blocks of B slots) against its per-slot "
-        "stepping instead of the classic-vs-vectorized comparison "
-        "(0 = off)",
+        help="compare the engine's block-stepped mode (step_block with "
+        "blocks of B slots) against its per-slot stepping, once on the "
+        "vectorized and once on the classic node population, instead of "
+        "the classic-vs-vectorized comparison (0 = off)",
     )
 
     staticcheck = sub.add_parser(
@@ -372,6 +372,7 @@ def _cmd_conform(args) -> int:
         fuzz,
         phy_matrix,
         quick_matrix,
+        run_cells,
         run_matrix,
         run_scenario,
     )
@@ -393,11 +394,9 @@ def _cmd_conform(args) -> int:
             block=args.block,
             protocol=args.protocol,
         )
-        reports = [
-            run_scenario(
-                scenario, max_slots=args.max_slots, vectorized_node_cls=broken
-            )
-        ]
+        reports = run_cells(
+            scenario, max_slots=args.max_slots, vectorized_node_cls=broken
+        )
     else:
         if args.arena:
             # The focused pinned matrix for the protocol x PHY arena.

@@ -32,7 +32,7 @@ from repro.conform.lockstep import (
     run_lockstep,
     run_unaligned_lockstep,
 )
-from repro.conform.runner import FuzzResult, fuzz, run_matrix, run_scenario
+from repro.conform.runner import FuzzResult, fuzz, run_cells, run_matrix, run_scenario
 from repro.conform.scenarios import (
     ARENA_MATRIX,
     BLOCK_MATRIX,
@@ -76,6 +76,7 @@ __all__ = [
     "quick_matrix",
     "random_scenarios",
     "run_block_lockstep",
+    "run_cells",
     "run_lockstep",
     "run_matrix",
     "run_scenario",

@@ -154,10 +154,15 @@ class ConformanceReport:
     #: always-on metrics) — the counters-first summary.
     classic_totals: dict[str, int] = field(default_factory=dict)
     vectorized_totals: dict[str, int] = field(default_factory=dict)
+    #: the node class both sides of a block lockstep ran (a block cell
+    #: runs once per population); empty for the other comparisons.
+    population: str = ""
 
     def describe(self) -> str:
         """One-line OK summary, or the divergence's full report."""
         label = self.scenario.label() if self.scenario is not None else "(ad hoc)"
+        if self.population:
+            label += f" [{self.population}]"
         if self.ok:
             status = "conform" if self.completed else "conform (slot budget hit)"
             ct = self.classic_totals

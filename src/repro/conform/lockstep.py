@@ -357,19 +357,24 @@ def run_block_lockstep(
     phy_factory: Callable[[], PhyModel] | None = None,
     protocol: ColoringProtocol | str | None = None,
 ) -> ConformanceReport:
-    """Lockstep the vectorized per-slot path against its block-stepped mode.
+    """Lockstep per-slot stepping of one population against its
+    block-stepped mode.
 
-    Both sides are the *same* fast path — identically-seeded vectorized
-    simulators over the same batched nodes — so the claim under test is
-    the strongest one in the engine: :meth:`RadioSimulator.step_block`
-    must be **byte-identical** to per-slot stepping.  Unlike the
+    Both sides are the *same* route — identically-seeded simulators over
+    the same node class: the vectorized fast path for a batched
+    ``node_cls`` (the default), the event-driven classic route for a
+    ``ColoringNode``-family one — so the claim under test is the
+    strongest one in the engine: :meth:`RadioSimulator.step_block` must
+    be **byte-identical** to per-slot stepping.  Unlike the
     classic-vs-vectorized lockstep, the comparison therefore covers all
     six channel-metric columns (including the per-path diagnostic draw
     counters ``protocol_draws`` / ``loss_draws``: the block draw
     ``random((B, n))`` and the all-passive-span ``skip`` consume the
-    PCG64 stream exactly like per-slot ``random(n)`` calls, and the
-    blocked mode attributes them to slots identically), plus every
-    level-2 trace event and the terminal node state.
+    PCG64 stream exactly like per-slot ``random(n)`` calls, a classic
+    span rewinds the stream past a cut, and the blocked modes attribute
+    draws to slots identically), plus every level-2 trace event (a
+    classic span's transmissions past its first slot are logged by the
+    multi-slot row walk) and the terminal node state.
 
     The blocked side advances ``block`` slots per ``step_block`` call
     while the per-slot side takes single steps; events and metric rows
@@ -402,7 +407,9 @@ def run_block_lockstep(
             loss_prob=loss_prob,
             phy=phy_factory() if phy_factory is not None else None,
         )
-        assert sim.vectorized, f"{node_cls.__name__} must run the vectorized path"
+        assert sim.vectorized or hasattr(node_cls, "next_step_slot"), (
+            f"{node_cls.__name__} has no block-stepped route"
+        )
         return sim
 
     sim_a = build(nodes_a, trace_a)
@@ -467,6 +474,7 @@ def run_block_lockstep(
         divergence=divergence,
         classic_totals=trace_a.channel_metrics.totals(),
         vectorized_totals=trace_b.channel_metrics.totals(),
+        population=node_cls.__name__,
     )
 
 

@@ -1,12 +1,15 @@
 """Conformance campaign runner: matrices, budgeted fuzzing, parallelism.
 
-Three entry points over :func:`repro.conform.lockstep.run_lockstep`:
+Four entry points over :func:`repro.conform.lockstep.run_lockstep`:
 
 - :func:`run_scenario` — one scenario, one report;
-- :func:`run_matrix` — a scenario list, optionally across worker
-  processes via the experiment harness's deterministic sweep executor
-  (:func:`repro.experiments.parallel.run_sweep`), reports in scenario
-  order regardless of worker count;
+- :func:`run_cells` — one scenario's cells: its report, or for a block
+  cell one report per node population (the protocol's vectorized and
+  classic node classes, the engine's two block-stepped routes);
+- :func:`run_matrix` — the cells of a scenario list, optionally across
+  worker processes via the experiment harness's deterministic sweep
+  executor (:func:`repro.experiments.parallel.run_sweep`), reports in
+  scenario order regardless of worker count;
 - :func:`fuzz` — a wall-clock-budgeted walk over
   :func:`~repro.conform.scenarios.random_scenarios`, stopping at the
   first divergence (fail fast: the reproducer matters more than the
@@ -26,8 +29,9 @@ from repro.conform.lockstep import (
     run_unaligned_lockstep,
 )
 from repro.conform.scenarios import Scenario, random_scenarios
+from repro.core.strategy import resolve_protocol
 
-__all__ = ["FuzzResult", "fuzz", "run_matrix", "run_scenario"]
+__all__ = ["FuzzResult", "fuzz", "run_cells", "run_matrix", "run_scenario"]
 
 
 def run_scenario(
@@ -47,9 +51,40 @@ def run_scenario(
     ``scenario.protocol`` picks the node-logic strategy (the lockstep
     completion condition generalizes through it).  With
     ``scenario.block > 0`` the comparison is instead the vectorized
-    path's per-slot stepping against its block-stepped mode
-    (:func:`~repro.conform.lockstep.run_block_lockstep`).
+    population's per-slot stepping against its block-stepped mode
+    (:func:`~repro.conform.lockstep.run_block_lockstep`;
+    :func:`run_cells` also runs the classic population).
     """
+    return _run(scenario, max_slots, vectorized_node_cls, vectorized=True)
+
+
+def run_cells(
+    scenario: Scenario,
+    *,
+    max_slots: int | None = None,
+    vectorized_node_cls: type | None = None,
+) -> list[ConformanceReport]:
+    """The scenario's conformance cells: :func:`run_scenario`'s report,
+    followed, for a block cell, by the same per-slot-vs-blocked lockstep
+    of the protocol's classic population, whose block-stepped route
+    takes node steps ahead of the deliveries and takes back the ones a
+    cut overtakes."""
+    reports = [run_scenario(scenario, max_slots=max_slots,
+                            vectorized_node_cls=vectorized_node_cls)]
+    if scenario.block:
+        reports.append(_run(scenario, max_slots, None, vectorized=False))
+    return reports
+
+
+def _run(
+    scenario: Scenario,
+    max_slots: int | None,
+    vectorized_node_cls: type | None,
+    *,
+    vectorized: bool,
+) -> ConformanceReport:
+    """:func:`run_scenario`, with a block cell run on the protocol's
+    vectorized or classic node population."""
     dep, params, wake_slots = scenario.build()
     if scenario.phy == "unaligned":
         return run_unaligned_lockstep(
@@ -76,6 +111,7 @@ def run_scenario(
 
         phy_factory = SinrPhy
     if scenario.block:
+        proto = resolve_protocol(scenario.protocol)
         return run_block_lockstep(
             dep,
             params,
@@ -84,6 +120,7 @@ def run_scenario(
             loss_prob=scenario.loss_prob,
             block=scenario.block,
             max_slots=max_slots,
+            node_cls=proto.node_cls(vectorized=vectorized),
             scenario=scenario,
             phy_factory=phy_factory,
             protocol=scenario.protocol,
@@ -102,9 +139,11 @@ def run_scenario(
     )
 
 
-def _run_indexed(scenarios: tuple[Scenario, ...], index: int) -> ConformanceReport:
+def _run_indexed(
+    scenarios: tuple[Scenario, ...], index: int
+) -> list[ConformanceReport]:
     """Module-level sweep kernel (picklable for the process pool)."""
-    return run_scenario(scenarios[index])
+    return run_cells(scenarios[index])
 
 
 def run_matrix(
@@ -112,7 +151,8 @@ def run_matrix(
     *,
     workers: int | None = None,
 ) -> list[ConformanceReport]:
-    """Run every scenario; reports come back in scenario order.
+    """Run every scenario's cells (:func:`run_cells`); reports come back
+    in scenario order.
 
     ``workers`` follows the sweep executor's convention (``None`` reads
     ``REPRO_SWEEP_WORKERS``, ``0`` means all cores, ``1`` is serial).
@@ -120,11 +160,12 @@ def run_matrix(
     from repro.experiments.parallel import run_sweep
 
     scenarios = tuple(scenarios)
-    return run_sweep(
+    cells = run_sweep(
         partial(_run_indexed, scenarios),
         seeds=range(len(scenarios)),
         workers=workers,
     )
+    return [report for reports in cells for report in reports]
 
 
 @dataclass

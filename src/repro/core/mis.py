@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.node import ColoringNode
 from repro.core.params import Parameters, suggested_max_slots
-from repro.core.protocol import build_simulator
+from repro.core.protocol import DEFAULT_BLOCK, build_simulator
 from repro.graphs.deployment import Deployment
 from repro.radio.trace import TraceRecorder
 
@@ -103,7 +103,14 @@ def run_mis(
     def covered(node: ColoringNode) -> bool:
         return node.color == 0 or node.leader is not None
 
-    res = sim.run(max_slots, stop_when=lambda s: all(covered(node) for node in nodes))
+    # Checked at every slot, so ``slots`` is the exact cover slot; on
+    # spans the O(n) predicate runs once per span, not once per slot.
+    res = sim.run(
+        max_slots,
+        stop_when=lambda s: all(covered(node) for node in nodes),
+        check_every=1,
+        block=DEFAULT_BLOCK,
+    )
     in_mis = np.array([node.color == 0 for node in nodes], dtype=bool)
     covered_mask = np.array([covered(node) for node in nodes], dtype=bool)
     return MisResult(

@@ -19,7 +19,12 @@ observable but make the per-slot cost O(1):
    A node therefore touches its RNG only when its send probability
    turns positive and when it transmits, and
    :meth:`ColoringNode.next_step_slot` hands that schedule to the
-   engine, which steps the node only at the slots where it can act.
+   engine, which steps the node only at the slots where it can act,
+   several slots ahead of the deliveries (:meth:`ColoringNode.unstep`
+   takes back a step a state-changing delivery overtook), and calls
+   :meth:`ColoringNode.deliver` only where the delivery keys
+   (:meth:`ColoringNode.listen_key`, :meth:`ColoringNode.message_keys`)
+   say a message can matter.
    :class:`~repro.core.vector_node.BernoulliColoringNode` runs the same
    transitions and messages with the coin drawn by the engine.
 
@@ -52,6 +57,16 @@ __all__ = ["ColoringNode", "UNDECIDED"]
 UNDECIDED = -1
 
 _FAR = 1 << 62  # effectively-infinite slot number
+#: listen key of a node that reacts to no message (colored non-leaders).
+_DEAF = -1
+#: message keys of a node that cannot transmit (asleep).
+_MUTE = -2
+
+
+def _address(vid: int) -> int:
+    """The key of messages addressed to ``vid`` (below every color key
+    and both sentinels)."""
+    return -3 - vid
 
 
 class ColoringNode(ProtocolNode):
@@ -309,6 +324,55 @@ class ColoringNode(ProtocolNode):
             # draw of the schedule is pending.
             due = min(due, slot + 1 if self._next_tx == _FAR else self._next_tx)
         return max(due, slot + 1)
+
+    def schedule(self) -> int:
+        """The one thing a :meth:`step` at a slot before
+        :meth:`next_event_slot` can change: the slot of the next
+        transmission (read by the engine around the steps it may have
+        to take back; see :meth:`unstep`)."""
+        return self._next_tx
+
+    def unstep(self, before: int, after: int) -> None:
+        """Take back a step that moved :meth:`schedule` from ``before``
+        to ``after`` at a slot before :meth:`next_event_slot`.  A
+        delivery since may have replaced the schedule (entering ``R`` or
+        ``A_{i+1}`` clears it); it is restored only where the node still
+        holds ``after``."""
+        if self._next_tx == after:
+            self._next_tx = before
+
+    # ------------------------------------------------------------------
+    # Delivery filter
+    # ------------------------------------------------------------------
+    def listen_key(self) -> int:
+        """The one message key this node can react to: a node in ``A_i``
+        listens to color ``i`` (counter and color messages of ``i``;
+        assignments are color-0 messages), a requester and a leader to
+        their own address (assignments to them; requests to them), and a
+        colored non-leader to nothing."""
+        phase = self.phase
+        if phase is Phase.VERIFY:
+            return self.index
+        if phase is Phase.REQUEST or (phase is Phase.COLORED and self.index == 0):
+            return _address(self.vid)
+        return _DEAF
+
+    def message_keys(self) -> tuple[int, int]:
+        """The two keys of the message :meth:`emit` would build now: its
+        color, and for addressed messages the address (requests carry
+        only their leader's address)."""
+        phase = self.phase
+        if phase is Phase.VERIFY:
+            return self.index, self.index
+        if phase is Phase.REQUEST:
+            assert self.leader is not None
+            address = _address(self.leader)
+            return address, address
+        if phase is Phase.COLORED:
+            if self.index == 0 and self._serving is not None:
+                return 0, _address(self._serving[0])
+            return self.index, self.index
+        return _MUTE, _MUTE
 
     # ------------------------------------------------------------------
     # Reception (end of slot)

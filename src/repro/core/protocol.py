@@ -33,6 +33,11 @@ from repro._util import spawn_generator
 
 __all__ = ["ColoringResult", "run_coloring", "build_simulator"]
 
+#: ``run_coloring``'s default ``block`` (slots per ``step_block`` chunk).
+#: A chunk boundary also ends a span, so it sits far above the engine's
+#: 128-slot span cap.
+DEFAULT_BLOCK = 4096
+
 
 @dataclass
 class ColoringResult:
@@ -209,7 +214,7 @@ def run_coloring(
     unaligned: bool = False,
     offsets: np.ndarray | None = None,
     channels: int = 1,
-    block: int = 1,
+    block: int = DEFAULT_BLOCK,
     protocol: ColoringProtocol | str | None = None,
     phy: PhyModel | str | None = None,
 ) -> ColoringResult:
@@ -250,14 +255,17 @@ def run_coloring(
         Mutually exclusive with ``unaligned``.
     block:
         Execution granularity for
-        :meth:`~repro.radio.channel.SlotSteppedSimulator.run`: with
-        ``block > 1`` the engine advances up to ``block`` slots per
-        chunk, and on the vectorized fast path (batched ``node_cls``,
-        e.g. :class:`~repro.core.vector_node.BernoulliColoringNode`)
-        draws the transmit Bernoullis of a whole block at once and pays
-        per-slot Python cost only at slots where something happens.  The
-        result is identical at any block size; the completion stop is
-        still localized to the exact slot.
+        :meth:`~repro.radio.channel.SlotSteppedSimulator.run`: the engine
+        advances up to ``block`` slots per chunk, in spans of slots
+        resolved and delivered together.  On the vectorized fast path
+        (batched ``node_cls``, e.g.
+        :class:`~repro.core.vector_node.BernoulliColoringNode`) a span's
+        transmit Bernoullis come from one draw; on the classic route
+        (``ColoringNode`` and its variants) the node steps due in a span
+        are taken ahead of its deliveries, and those a state-changing
+        delivery overtakes are taken back.  The result is identical at
+        any block size, and the completion stop is still localized to
+        the exact slot; ``block=1`` is the plain per-slot loop.
     protocol:
         Node-logic strategy (a
         :class:`~repro.core.strategy.ColoringProtocol` instance, a

@@ -31,6 +31,8 @@ from repro._util import spawn_generator
 
 __all__ = ["run", "run_with_leader_failures"]
 
+_FAR = 1 << 62  # effectively-infinite slot number
+
 
 class MortalNode(ColoringNode):
     """A ColoringNode that can be killed: once dead it never transmits
@@ -53,6 +55,12 @@ class MortalNode(ColoringNode):
         if self.dead:
             return False
         return super().deliver(slot, msg)
+
+    def next_step_slot(self, slot):
+        """Dead nodes have no step left to take."""
+        if self.dead:
+            return _FAR
+        return super().next_step_slot(slot)
 
 
 def run_with_leader_failures(

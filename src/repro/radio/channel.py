@@ -104,28 +104,33 @@ class FireRun:
 
     Transmission ``k`` is node ``sender[k]`` sending in slot ``slot[k]``.
     Slots ascend; within a slot, transmissions keep the order they were
-    made in (ascending node id on the vectorized engine).  A run covers
-    consecutive slots whose transmit draws were taken under one frozen
-    state, so it may contain slots without transmissions.  The per-slot
-    paths and the unaligned simulator make runs of one slot.
+    made in (ascending node id on the vectorized engine, roster order on
+    the classic route).  A run covers consecutive slots whose
+    transmissions were decided under one frozen state, so it may contain
+    slots without transmissions.  The per-slot paths and the unaligned
+    simulator make runs of one slot.
 
     ``msgs`` is the message table that :class:`Candidates` rows index
-    into.  A *recorded* run (``nodes is None``) was logged by
-    :meth:`ChannelCore.record_tx` while it was collected, and brings
-    its table along.  A *drawn* run (the vectorized engine) brings the
-    node list instead: ``msgs[k]`` is transmission ``k``'s message,
-    built by ``emit`` the first time something needs it, and
-    :meth:`ChannelCore.deliver` records the transmissions of the slots
-    it processes.  Building messages late is sound because ``emit`` is
-    pure and a transmitter receives nothing in its own slot.
+    into.  A *drawn* run (the vectorized engine) brings the node list
+    instead: ``msgs[k]`` is transmission ``k``'s message, built by
+    ``emit`` the first time something needs it.  Building messages late
+    is sound because ``emit`` is pure and a transmitter receives nothing
+    in its own slot.
 
-    ``draws`` is the number of protocol-stream variates each slot of the
-    run consumed (``n`` per slot on the vectorized engine).  ``slot`` and
-    ``sender`` are numpy arrays, or plain lists for a run of one slot
+    The first ``logged`` transmissions were logged by
+    :meth:`ChannelCore.record_tx` while they were collected (all of a
+    *recorded* run, none of a drawn one, the first slot's of a classic
+    span); :meth:`ChannelCore.deliver` records the rest, slot by slot,
+    for the slots it processes, so a transmission past a cut is never
+    logged.
+
+    ``draws`` holds, per slot of the run, the number of protocol-stream
+    variates the slot consumed (``n`` per slot on the vectorized
+    engine).  ``slot`` and ``sender`` are numpy arrays, or plain lists
     (see :class:`Candidates`).
     """
 
-    __slots__ = ("t0", "t1", "slot", "sender", "draws", "msgs", "nodes")
+    __slots__ = ("t0", "t1", "slot", "sender", "draws", "msgs", "nodes", "logged")
 
     def __init__(
         self,
@@ -133,9 +138,10 @@ class FireRun:
         t1: int,
         slot: "np.ndarray | list[int]",
         sender: "np.ndarray | list[int]",
-        draws: int,
+        draws: Sequence[int],
         msgs: "list[Message | None] | None" = None,
         nodes: "Sequence[Any] | None" = None,
+        logged: int = 0,
     ) -> None:
         self.t0 = t0
         self.t1 = t1
@@ -143,6 +149,7 @@ class FireRun:
         self.sender = sender
         self.draws = draws
         self.nodes = nodes
+        self.logged = logged
         self.msgs: list[Message | None] = (
             [None] * len(sender) if msgs is None else msgs
         )
@@ -157,8 +164,9 @@ class FireRun:
             t + 1,
             [t] * len(outbox),
             [v for v, _ in outbox],
-            draws,
+            [draws],
             msgs=[msg for _, msg in outbox],
+            logged=len(outbox),
         )
 
     def __len__(self) -> int:
@@ -305,15 +313,17 @@ class ChannelCore:
         self._loss_rng = RngMeter(rng.spawn(1)[0]) if loss_prob > 0.0 else None
         self.max_message_bits = max_message_bits
         self.id_space = id_space
-        #: optional hook called as ``on_deliver(u, msg, report)`` after
-        #: each delivery, ``report`` being what the node's ``deliver``
-        #: returned; a true result cuts the run after the current slot
-        #: (fast-path cache refresh, unaligned decode-once bookkeeping).
-        self.on_deliver: Callable[[int, Message, bool | None], bool] | None = None
+        #: optional hook called as ``on_deliver(slot, u, msg, report)``
+        #: after each delivery, ``report`` being what the node's
+        #: ``deliver`` returned; a true result cuts the run after the
+        #: current slot (the engine's cache re-reads, unaligned
+        #: decode-once bookkeeping).
+        self.on_deliver: Callable[[int, int, Message, bool | None], bool] | None = None
         #: optional ``(listen, send_a, send_b)`` per-node key arrays: a
         #: delivery reaches ``node.deliver`` only if the receiver's listen
         #: key equals one of the sender's two message keys.  ``None``
-        #: (classic and unaligned nodes) delivers everything.
+        #: (nodes without delivery keys, the unaligned simulator)
+        #: delivers everything.
         self.keys: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -357,9 +367,10 @@ class ChannelCore:
         to :attr:`on_deliver`, and a true result there means the state
         the run was drawn under changed, so the run is cut after that
         slot: everything past the cut is dropped, and the returned end
-        tells the caller where to resume.  The transmissions of a drawn
-        run's processed slots are recorded here, and every processed
-        slot gets its :class:`~repro.radio.trace.ChannelMetrics` row.
+        tells the caller where to resume.  The transmissions of the
+        processed slots not yet logged (see :class:`FireRun`) are
+        recorded here, and every processed slot gets its
+        :class:`~repro.radio.trace.ChannelMetrics` row.
 
         A run of several slots at trace level below 2 whose messages
         need no size check is delivered in bulk (:meth:`_deliver_bulk`);
@@ -370,7 +381,7 @@ class ChannelCore:
         if (
             run.t1 - run.t0 == 1
             or self.trace.level >= 2
-            or (run.nodes is not None and self.max_message_bits is not None)
+            or (run.logged < len(run) and self.max_message_bits is not None)
         ):
             return self._walk(candidates)
         return self._deliver_bulk(candidates)
@@ -387,8 +398,8 @@ class ChannelCore:
         loss_rng = self._loss_rng
         keys = self.keys
         log = trace.level >= 2
-        drawn = run.nodes is not None
-        emit_all = drawn and (log or self.max_message_bits is not None)
+        logged = run.logged
+        emit = log or self.max_message_bits is not None
         slots = _listed(candidates.slot)
         listeners = _listed(candidates.listener)
         counts = _listed(candidates.count)
@@ -407,9 +418,9 @@ class ChannelCore:
         while s < run.t1 and not dirty:
             sent = 0
             while j < len(tx_slots) and tx_slots[j] == s:
-                if drawn:
+                if j >= logged:
                     v = senders[j]
-                    msg = run.message(j) if emit_all else None
+                    msg = run.message(j) if emit else None
                     if msg is not None:
                         self._check_bits(s, v, msg)
                     trace.tx(s, v, msg)
@@ -436,7 +447,7 @@ class ChannelCore:
                 if heard:
                     assert msg is not None
                     report = nodes[u].deliver(s, msg)
-                    if on_deliver is not None and on_deliver(u, msg, report):
+                    if on_deliver is not None and on_deliver(s, u, msg, report):
                         dirty = True
                 trace.rx(s, u, msg)
             tx_col.append(sent)
@@ -445,9 +456,8 @@ class ChannelCore:
             lost_col.append(lost)
             coin_col.append(coins)
             s += 1
-        trace.channels(
-            run.t0, tx_col, rx_col, coll_col, lost_col, [run.draws] * len(tx_col), coin_col
-        )
+        draws = run.draws[: len(tx_col)]
+        trace.channels(run.t0, tx_col, rx_col, coll_col, lost_col, draws, coin_col)
         return s
 
     def _deliver_bulk(self, candidates: Candidates) -> int:
@@ -496,8 +506,8 @@ class ChannelCore:
                     loss_rng.skip(ok.size)
         np.add.at(trace.rx_count, listener[kept], 1)
         np.add.at(trace.collision_count, listener[collided], 1)
-        if run.nodes is not None:
-            np.add.at(trace.tx_count, run_sender[:ntx], 1)
+        if ntx > run.logged:
+            np.add.at(trace.tx_count, run_sender[run.logged : ntx], 1)
         span = end - t0
         trace.channels(
             t0,
@@ -505,7 +515,7 @@ class ChannelCore:
             _per_slot(slot, kept, t0, span),
             _per_slot(slot, collided, t0, span),
             _per_slot(slot, lost, t0, span),
-            array("i", [run.draws]) * span,
+            array("i", run.draws[:span]),
             _per_slot(slot, ok, t0, span) if mark is not None else array("i", [0]) * span,
         )
         return end
@@ -525,7 +535,7 @@ class ChannelCore:
             cur = s
             msg = run.message(k)
             report = nodes[u].deliver(s, msg)
-            if on_deliver is not None and on_deliver(u, msg, report):
+            if on_deliver is not None and on_deliver(s, u, msg, report):
                 dirty = True
         return cur + 1 if dirty else run.t1
 
@@ -1003,9 +1013,9 @@ class SlotSteppedSimulator(ABC):
         This base implementation is a plain per-slot loop — byte-for-byte
         the semantics of calling :meth:`step` ``count`` times with the
         :meth:`run` stop-check between steps.  Simulators with a bulk
-        execution mode (the vectorized engine's block-stepped path)
-        override it to advance many slots per Python iteration while
-        preserving exactly those semantics.
+        execution mode (the engine's block-stepped routes) override it
+        to advance many slots per Python iteration while preserving
+        exactly those semantics.
         """
         for _ in range(count):
             self.step()
@@ -1042,12 +1052,11 @@ class SlotSteppedSimulator(ABC):
         larger block lets spans of slots advance without per-slot
         Python work.  With ``block > 1``, ``stop_when`` must be a
         function of *simulation state* (node state, trace counters such
-        as ``trace.decided``) that changes only when some node's send
-        probability, event slot or delivery key does: that state is
-        frozen across a span until a delivery changes it, so the
-        predicate is evaluated once per span and localized to the exact
-        check slot, rather than being re-called at every boundary the
-        span covers.
+        as ``trace.decided``) that changes only at a node's scheduled
+        event or at a delivery that reports a change: that state is
+        frozen across a span until such a delivery, so the predicate is
+        evaluated once per span and localized to the exact check slot,
+        rather than being re-called at every boundary the span covers.
         """
         if check_every < 1:
             raise ValueError(f"check_every must be >= 1, got {check_every}")

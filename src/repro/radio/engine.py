@@ -30,14 +30,18 @@ nodes — the "compute on what's hot" advice from the HPC guides.
 Two transmission-collection paths share those channel semantics:
 
 - the **classic path** calls :meth:`ProtocolNode.step` per node, in
-  roster (wake) order; each slot with transmissions is a fire run of
-  one slot.  When every node has ``next_step_slot`` (see
+  roster (wake) order.  When every node has ``next_step_slot`` (see
   :mod:`repro.radio.node`; :class:`~repro.core.node.ColoringNode` does)
   it is event-driven: a node steps only at the slots where its step
-  can transmit, draw or change state, and a slot with none of them
-  calls no step at all.  Any other population (baselines, the
-  executable-spec reference, ad-hoc test nodes) steps every awake node
-  every slot;
+  can transmit, draw or change state, a slot with none of them calls
+  no step at all, and ``deliver`` runs only where the delivery keys
+  match.  Block-stepped, it takes the steps of a whole span ahead of
+  the deliveries and resolves and delivers the span's transmissions
+  as one :class:`~repro.radio.channel.FireRun`, taking back the steps
+  a state-changing delivery overtook.  Any other population (the
+  frame-coloring baseline, the executable-spec reference, ad-hoc test
+  nodes) steps every awake node every slot, and each slot with
+  transmissions is a fire run of one slot;
 - the **vectorized fast path** activates automatically when *every* node
   implements the batched interface (see
   :class:`~repro.radio.node.ProtocolNode` and
@@ -70,7 +74,11 @@ changes three experiments later.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Any
 
 import numpy as np
 
@@ -93,12 +101,13 @@ __all__ = ["RadioSimulator", "SimulationResult"]
 #: effectively-infinite slot number for "no scheduled event"
 _FAR = 1 << 62
 
-# Segment-draw cap for the block-stepped path: uniforms are drawn at most
-# this many slots at a time into one reused buffer.  Keeps the working
-# set cache-resident (128 x n float64 is ~1.6 MB at n = 1600) — PCG64
-# throughput degrades ~3x when each segment draw faults in fresh
-# multi-megabyte pages.  Purely an execution detail: the stream is
-# consumed row-major either way, so chunk size never affects results.
+# Span cap for the block-stepped paths: uniforms are drawn at most this
+# many slots at a time into one reused buffer, and a classic span takes
+# the steps of at most this many slots ahead of their deliveries.  Keeps
+# the working set cache-resident (128 x n float64 is ~1.6 MB at
+# n = 1600) — PCG64 throughput degrades ~3x when each segment draw
+# faults in fresh multi-megabyte pages — and bounds the steps a cut
+# takes back.  Purely an execution detail: results never depend on it.
 _DRAW_CHUNK = 128
 
 
@@ -193,13 +202,31 @@ class RadioSimulator(SlotSteppedSimulator):
         self._next_wake_slot = int(self.wake_slots[order[0]]) if n else _FAR
         self._awake: list[int] = []
         self._append_metrics = self.trace.channel_metrics.append
+        # Delivery keys (listen key; the two message keys) of both
+        # event-driven routes, handed to the core's delivery filter.
+        self._keys = (
+            np.full(n, -1, dtype=np.int64),
+            np.full(n, -1, dtype=np.int64),
+            np.full(n, -1, dtype=np.int64),
+        )
+        # State generation: bumped whenever a node's cached state actually
+        # changes (vectorized route) or a delivery may have changed it
+        # (classic route).  A fire run is taken under one generation and
+        # cut where it moves.
+        self._gen = 0
         # Event-driven classic route, chosen by the node population alone
         # (engaged iff every node has ``next_step_slot``): each node's
-        # next due step (_FAR while asleep) and the list's minimum.
-        # Without it ``_due_min`` stays 0, so every awake node steps
-        # every slot.
+        # next due step (_FAR while asleep) and the list's minimum, and
+        # each node's next event slot, which ends a span.  Without it
+        # ``_due_min`` stays 0, so every awake node steps every slot.
         self._due: list[int] | None = None
         self._due_min = 0
+        self._evt_slots: list[int] = []
+        # The steps of the current span past its first slot, as (slot,
+        # node, schedule before, schedule after), and the protocol stream
+        # before each of their slots: what a cut takes back.
+        self._taken: list[tuple[int, int, Any, Any]] = []
+        self._marks: list[tuple[int, tuple[dict[str, Any], int, int]]] = []
         # Vectorized fast path, chosen by the node population alone
         # (engaged iff every node implements the batched interface):
         # dense per-node send probabilities, next scheduled event slots
@@ -209,17 +236,6 @@ class RadioSimulator(SlotSteppedSimulator):
         if self.vectorized:
             self._p = np.zeros(n, dtype=np.float64)
             self._evt = np.full(n, _FAR, dtype=np.int64)
-            # Delivery keys (listen key; the two message keys), handed to
-            # the core's delivery filter.
-            self._keys = (
-                np.full(n, -1, dtype=np.int64),
-                np.full(n, -1, dtype=np.int64),
-                np.full(n, -1, dtype=np.int64),
-            )
-            # State generation: bumped whenever any node's cached send
-            # probability, event slot or key actually changes.  A fire run
-            # is drawn under one generation and cut where it moves.
-            self._gen = 0
             # Cached minimum of _evt, maintained stale-low-safe: _refresh
             # lowers it eagerly, and it is recomputed exactly whenever due
             # events are processed.  A stale-low value only costs a cheap
@@ -245,7 +261,9 @@ class RadioSimulator(SlotSteppedSimulator):
         elif n > 0 and all(hasattr(node, "next_step_slot") for node in self.nodes):
             self._due = [_FAR] * n
             self._due_min = _FAR
+            self._evt_slots = [_FAR] * n
             self.core.on_deliver = self._on_deliver_classic
+            self.core.keys = self._keys
 
     # ------------------------------------------------------------------
     @property
@@ -282,21 +300,37 @@ class RadioSimulator(SlotSteppedSimulator):
             return True
         return False
 
-    def _on_deliver(self, u: int, msg: Message, report: bool | None) -> bool:
+    def _on_deliver(self, slot: int, u: int, msg: Message, report: bool | None) -> bool:
         """Core delivery hook: a node whose ``deliver`` did not report
         ``False`` is re-read; a real change cuts the fire run."""
         return report is not False and self._refresh(u)
 
-    def _on_deliver_classic(self, u: int, msg: Message, report: bool | None) -> bool:
+    def _reread(self, v: int, slot: int) -> None:
+        """Re-read node ``v``'s due step (as ``next_step_slot(slot)``),
+        next event slot and delivery keys (event-driven classic route,
+        after a wake, a step or a delivery)."""
+        node = self.nodes[v]
+        assert self._due is not None
+        due = self._due[v] = node.next_step_slot(slot)
+        if due < self._due_min:
+            self._due_min = due
+        self._evt_slots[v] = node.next_event_slot()
+        keys = self._keys
+        keys[0][v] = node.listen_key()
+        keys[1][v], keys[2][v] = node.message_keys()
+
+    def _on_deliver_classic(
+        self, slot: int, u: int, msg: Message, report: bool | None
+    ) -> bool:
         """Core delivery hook of the event-driven classic route: a node
-        whose ``deliver`` did not report ``False`` has its due step
-        re-read.  Never cuts (classic fire runs are one slot long)."""
-        if report is not False:
-            assert self._due is not None
-            due = self._due[u] = self.nodes[u].next_step_slot(self.slot)
-            if due < self._due_min:
-                self._due_min = due
-        return False
+        whose ``deliver`` did not report ``False`` is re-read, and the
+        fire run is cut after this slot (the steps taken past it were
+        taken under the old state)."""
+        if report is False:
+            return False
+        self._reread(u, slot)
+        self._gen += 1
+        return True
 
     def _wake_due(self, t: int) -> None:
         """Phase 1: wake nodes whose wake slot is ``t``."""
@@ -317,9 +351,7 @@ class RadioSimulator(SlotSteppedSimulator):
                 self._refresh(v)
             else:
                 if self._due is not None:
-                    due = self._due[v] = self.nodes[v].next_step_slot(t - 1)
-                    if due < self._due_min:
-                        self._due_min = due
+                    self._reread(v, t - 1)
                 self._awake.append(v)
         self._next_wake_slot = (
             int(self.wake_slots[order[self._next_wake]])
@@ -344,33 +376,106 @@ class RadioSimulator(SlotSteppedSimulator):
             self._active_gen = self._gen
         return self._active
 
-    def _collect_classic(self, t: int) -> list[tuple[int, Message]]:
-        """Phase 2 (classic route): per-node protocol steps, in roster
-        (wake) order.
+    def _collect_classic(self, t: int, end: int) -> FireRun:
+        """Phase 2 (classic route): the protocol steps of a span of
+        slots ``[t, lim)``, returned as its fire run (``lim`` is the
+        run's ``t1``, at most ``end``).
 
-        On the event-driven route only the nodes due at ``t`` step,
-        still in roster order, so the protocol stream is drawn in the
-        per-slot order; a node skipped here would have returned
-        ``None``, drawn nothing and changed nothing.  A slot with
-        nothing due returns at once."""
-        outbox: list[tuple[int, Message]] = []
-        if self._due_min > t:
-            return outbox
+        The awake nodes due at ``t`` step first, in roster (wake) order,
+        and their transmissions are recorded at once; wakes and
+        scheduled events step only there.  On the event-driven route
+        the span then runs to the next wake, the next scheduled event,
+        ``end`` or ``_DRAW_CHUNK`` slots, whichever comes first, and the
+        steps due inside it are taken in (slot, roster) order, so the
+        protocol stream is drawn in the per-slot order; a node skipped
+        would have returned ``None``, drawn nothing and changed nothing.
+        Those later steps are taken before any delivery of the span, so
+        each is logged for :meth:`_take_back`, and the core records
+        their transmissions as it processes their slots.  Off the
+        event-driven route every awake node steps at ``t`` and the span
+        is that one slot."""
         rng = self.rng
         nodes = self.nodes
-        record_tx = self.core.record_tx
         awake = self._awake
         due = self._due
-        for v in awake if due is None else [v for v in awake if due[v] <= t]:
-            node = nodes[v]
-            msg = node.step(t, rng)
-            if due is not None:
-                due[v] = node.next_step_slot(t)
+        record_tx = self.core.record_tx
+        outbox: list[tuple[int, Message]] = []
+        draws0 = rng.draws
+        if due is None:
+            for v in awake:
+                msg = nodes[v].step(t, rng)
+                if msg is not None:
+                    record_tx(t, v, msg, outbox)
+            return FireRun.recorded(t, outbox, rng.draws - draws0)
+        taken = self._taken
+        marks = self._marks
+        taken.clear()
+        marks.clear()
+        reread = self._reread
+        for v in [v for v in awake if due[v] <= t]:
+            msg = nodes[v].step(t, rng)
+            reread(v, t)
             if msg is not None:
                 record_tx(t, v, msg, outbox)
-        if due is not None:
+        lim = t + 1
+        if end > lim:
+            bound = min(self._next_wake_slot, min(self._evt_slots), end)
+            lim = max(lim, min(bound, t + _DRAW_CHUNK))
+        if lim == t + 1:
             self._due_min = min(due)
-        return outbox
+            return FireRun.recorded(t, outbox, rng.draws - draws0)
+        draws = [0] * (lim - t)
+        draws[0] = rng.draws - draws0
+        slots = [t] * len(outbox)
+        senders = [v for v, _ in outbox]
+        msgs: list[Message | None] = [msg for _, msg in outbox]
+        heap = [(due[v], pos) for pos, v in enumerate(awake) if due[v] < lim]
+        heapify(heap)
+        cur = t
+        while heap:
+            s, pos = heappop(heap)
+            if s != cur:
+                marks.append((s, rng.checkpoint()))
+                cur = s
+            v = awake[pos]
+            node = nodes[v]
+            before = node.schedule()
+            drawn = rng.draws
+            msg = node.step(s, rng)
+            draws[s - t] += rng.draws - drawn
+            taken.append((s, v, before, node.schedule()))
+            # Before its next event a step changes only the schedule, so
+            # the event slot and the keys stand.
+            d = due[v] = node.next_step_slot(s)
+            if msg is not None:
+                slots.append(s)
+                senders.append(v)
+                msgs.append(msg)
+            if d < lim:
+                heappush(heap, (d, pos))
+        self._due_min = min(due)
+        return FireRun(t, lim, slots, senders, draws, msgs=msgs, logged=len(outbox))
+
+    def _take_back(self, end: int) -> None:
+        """Undo the current span's steps taken at slots ``>= end``: the
+        protocol stream returns to where the first of them began, and
+        each node gets its schedule back through ``unstep``, newest step
+        first, then is re-read as of ``end - 1``."""
+        taken = self._taken
+        if not taken or taken[-1][0] < end:
+            return
+        marks = self._marks
+        while len(marks) > 1 and marks[-2][0] >= end:
+            marks.pop()
+        self.rng.rewind(marks.pop()[1])
+        nodes = self.nodes
+        undone: list[int] = []
+        while taken and taken[-1][0] >= end:
+            _, v, before, after = taken.pop()
+            nodes[v].unstep(before, after)
+            undone.append(v)
+        for v in dict.fromkeys(undone):
+            self._reread(v, end - 1)
 
     def _collect_vectorized(self, t: int) -> np.ndarray:
         """Phase 2 (fast path): scheduled events, then one batched
@@ -425,32 +530,50 @@ class RadioSimulator(SlotSteppedSimulator):
 
         A slot with transmissions is a fire run of one slot; an empty
         slot skips the PHY and the core (channel contract item 4) and
-        appends its all-zero metrics row directly."""
+        appends its metrics row directly."""
         t = self.slot
         n = len(self.nodes)
+        if self._next_wake_slot <= t:
+            self._wake_due(t)
         if self.vectorized:
-            if self._next_wake_slot <= t:
-                self._wake_due(t)
             fire = self._collect_vectorized(t)
             if fire.size:
                 self._fire_run(
-                    FireRun(t, t + 1, [t] * fire.size, fire.tolist(), n, nodes=self.nodes)
+                    FireRun(t, t + 1, [t] * fire.size, fire.tolist(), [n],
+                            nodes=self.nodes)
                 )
             else:
                 self._append_metrics(0, 0, 0, 0, n, 0)
+        elif self._due_min > t:
+            self._append_metrics(0, 0, 0, 0, 0, 0)  # nothing due
         else:
-            draws0 = self.rng.draws
-            if self._next_wake_slot <= t:
-                self._wake_due(t)
-            outbox = self._collect_classic(t)
-            draws = self.rng.draws - draws0
-            if outbox:
-                self._fire_run(FireRun.recorded(t, outbox, draws))
+            run = self._collect_classic(t, t + 1)
+            if len(run):
+                self._fire_run(run)
             else:
-                self._append_metrics(0, 0, 0, 0, draws, 0)
+                self._append_metrics(0, 0, 0, 0, run.draws[0], 0)
         self.slot = t + 1
 
-    # -- block-stepped execution (vectorized fast path only) -------------
+    # -- block-stepped execution --------------------------------------------
+    def _stop_at(
+        self,
+        t: int,
+        lim: int,
+        stop_when: Callable[[SlotSteppedSimulator], bool] | None,
+        check_every: int,
+    ) -> int | None:
+        """The first stop-check boundary in ``[t + 1, lim]`` if the stop
+        predicate holds there, else ``None``.  State is frozen over
+        ``[t, lim)`` until a delivery changes it, so one evaluation
+        decides every boundary of the span."""
+        if stop_when is None or not self.all_woken:
+            return None
+        s = -((t + 1) // -check_every) * check_every
+        if s > lim:
+            return None
+        self.slot = s
+        return s if stop_when(self) else None
+
     def step_block(
         self,
         count: int,
@@ -463,7 +586,7 @@ class RadioSimulator(SlotSteppedSimulator):
         Trajectory- and metrics-identical to ``count`` calls of
         :meth:`step`.  Wakes and scheduled events end a span; within it
         no node's send probability, event slot or delivery key changes
-        except through deliveries.  Per span:
+        except through deliveries.  On the vectorized route, per span:
 
         - the transmit uniforms come from a segment draw
           ``rng.random((m, n))``, which consumes the PCG64 stream exactly
@@ -475,6 +598,10 @@ class RadioSimulator(SlotSteppedSimulator):
           change the state (the next span resumes there, reusing the
           segment's remaining rows); runs of empty slots emit their
           all-zero metrics in bulk.
+
+        The event-driven classic route (:meth:`_step_spans`) has the
+        same skeleton with node steps in place of the segment draw; any
+        other population steps slot by slot.
 
         Stop predicates must be state-only (see
         :meth:`SlotSteppedSimulator.run`): the predicate is evaluated
@@ -488,8 +615,10 @@ class RadioSimulator(SlotSteppedSimulator):
         observable only if the caller keeps stepping the same simulator
         past a stop.
         """
-        if not self.vectorized or count <= 1:
+        if count <= 1 or not (self.vectorized or self._due is not None):
             return super().step_block(count, stop_when, check_every)
+        if not self.vectorized:
+            return self._step_spans(count, stop_when, check_every)
         nodes = self.nodes
         n = len(nodes)
         rng = self.rng
@@ -499,11 +628,6 @@ class RadioSimulator(SlotSteppedSimulator):
 
         U: np.ndarray | None = None  # uniforms for absolute slots [seg_lo, seg_hi)
         seg_lo = seg_hi = t
-
-        def boundary(lo: int, hi: int) -> int | None:
-            """First stop-check slot counter in [lo, hi], or None."""
-            s = -(lo // -check_every) * check_every
-            return s if s <= hi else None
 
         while t < end:
             self.slot = t
@@ -526,14 +650,11 @@ class RadioSimulator(SlotSteppedSimulator):
                 if active.size == 0:
                     # All-passive span: random() < 0.0 never holds, so
                     # consume the stream without generating.
-                    if stop_when is not None and self.all_woken:
-                        s = boundary(t + 1, bound)
-                        if s is not None:
-                            self.slot = s
-                            if stop_when(self):
-                                rng.skip((s - t) * n)
-                                trace.channel_empty(t, s - t, n)
-                                return True
+                    s = self._stop_at(t, bound, stop_when, check_every)
+                    if s is not None:
+                        rng.skip((s - t) * n)
+                        trace.channel_empty(t, s - t, n)
+                        return True
                     rng.skip(m * n)
                     trace.channel_empty(t, m, n)
                     t = bound
@@ -545,16 +666,10 @@ class RadioSimulator(SlotSteppedSimulator):
                 U = rng.fill(buf[:m])
                 seg_lo, seg_hi = t, t + m
             lim = min(bound, seg_hi)
-            # State is frozen over [t, lim) until a delivery changes it, so
-            # one predicate evaluation decides every check boundary before
-            # that; a true result ends the span at the first boundary.
-            stop = False
-            if stop_when is not None and self.all_woken:
-                s = boundary(t + 1, lim)
-                if s is not None:
-                    self.slot = s
-                    if stop_when(self):
-                        stop, lim = True, s
+            # A true stop predicate ends the span at its first boundary.
+            s = self._stop_at(t, lim, stop_when, check_every)
+            if s is not None:
+                lim = s
             # Every (slot, transmitter) pair of [t, lim) under the frozen p.
             sub = U[t - seg_lo : lim - seg_lo]
             if active.size == n:
@@ -565,18 +680,92 @@ class RadioSimulator(SlotSteppedSimulator):
             self.slot = t
             gen = self._gen
             if rows.size:
-                lim = self._fire_run(FireRun(t, lim, rows + t, senders, n, nodes=nodes))
+                lim = self._fire_run(
+                    FireRun(t, lim, rows + t, senders, [n] * (lim - t), nodes=nodes)
+                )
             else:
                 trace.channel_empty(t, lim - t, n)
             t = lim
-            self.slot = t
-            if stop_when is not None and self.all_woken and t % check_every == 0:
-                if self._gen != gen:
-                    if stop_when(self):
-                        return True
-                elif stop:
-                    return True
+            if self._stopped(t, gen, s, stop_when, check_every):
+                return True
             if t >= seg_hi:
                 U = None
+        self.slot = end
+        return False
+
+    def _stopped(
+        self,
+        t: int,
+        gen: int,
+        s: int | None,
+        stop_when: Callable[[SlotSteppedSimulator], bool] | None,
+        check_every: int,
+    ) -> bool:
+        """Whether a span that ended at ``t`` stops the run: its stop
+        boundary ``s`` was reached with the state unchanged, or ``t`` is
+        a boundary and the predicate holds under the state the span's
+        deliveries left (generation ``gen`` moved)."""
+        self.slot = t
+        if stop_when is None or not self.all_woken or t % check_every:
+            return False
+        if self._gen != gen:
+            return stop_when(self)
+        return s is not None
+
+    def _step_spans(
+        self,
+        count: int,
+        stop_when: Callable[[SlotSteppedSimulator], bool] | None,
+        check_every: int,
+    ) -> bool:
+        """:meth:`step_block` on the event-driven classic route.
+
+        A stretch where nothing is due is recorded in bulk.  A span opens
+        at a slot where nodes are due: :meth:`_collect_classic` takes its
+        steps, the stop predicate is localized over it, and its
+        transmissions are resolved and delivered as one fire run.  A
+        delivery that does not report ``False`` cuts the run after its
+        slot, and the steps taken past the cut are taken back
+        (:meth:`_take_back`) and taken again in the next span."""
+        trace = self.trace
+        due = self._due
+        assert due is not None
+        t = self.slot
+        end = t + count
+        while t < end:
+            self.slot = t
+            if self._next_wake_slot <= t:
+                self._wake_due(t)
+            if self._due_min > t:
+                # Nothing due before the next due step or wake.
+                lim = min(self._due_min, self._next_wake_slot, end)
+                s = self._stop_at(t, lim, stop_when, check_every)
+                trace.channel_empty(t, (lim if s is None else s) - t, 0)
+                if s is not None:
+                    return True
+                t = lim
+                continue
+            run = self._collect_classic(t, end)
+            s = self._stop_at(t, run.t1, stop_when, check_every)
+            if s is not None and s < run.t1:
+                self._take_back(s)
+                k = bisect_left(run.slot, s)
+                run = FireRun(
+                    t, s, run.slot[:k], run.sender[:k], run.draws[: s - t],
+                    msgs=run.msgs[:k], logged=run.logged,
+                )
+            self.slot = t
+            gen = self._gen
+            if len(run):
+                cut = self._fire_run(run)
+                self._take_back(cut)
+            else:
+                cut = run.t1
+                zeros = array("i", bytes(4 * (cut - t)))
+                trace.channels(t, zeros, zeros, zeros, zeros, run.draws, zeros)
+            self._due_min = min(due)
+            t = cut
+            if self._stopped(t, gen, s, stop_when, check_every):
+                return True
         self.slot = end
         return False

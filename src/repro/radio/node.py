@@ -47,17 +47,43 @@ run is cut after the first slot whose deliveries change it.
 
 Event-driven classic stepping
 -----------------------------
-A node class driven by ``step`` may also implement
-``next_step_slot(slot) -> int``: the first slot after ``slot`` at which
-``step`` can transmit, draw or change state, never below ``slot + 1``.
-When every node has it, the engine's classic route steps a node only
-at that slot (:class:`~repro.core.node.ColoringNode` is the
-reference), re-reading it at wake (as ``next_step_slot(wake - 1)``),
-after each step, and after each delivery.  A step it skips must be one
-that would have returned ``None``, drawn nothing and changed nothing.
-The ``deliver`` rule above governs this route too: ``deliver`` returns
-``False`` only if nothing cached changed, here ``next_step_slot``, and
-the engine then skips the re-read.
+A node class driven by ``step`` may also implement the methods the
+engine's event-driven classic route drives
+(:class:`~repro.core.node.ColoringNode` is the reference); the route
+engages only when every node has ``next_step_slot``:
+
+- ``next_step_slot(slot) -> int`` — the first slot after ``slot`` at
+  which ``step`` can transmit, draw or change state, never below
+  ``slot + 1``.  The engine steps a node only there; a step it skips
+  must be one that would have returned ``None``, drawn nothing and
+  changed nothing;
+- ``next_event_slot()``, ``listen_key()`` and ``message_keys()`` as
+  above: the engine re-reads them with the due slot at wake (as
+  ``next_step_slot(wake - 1)``), after each step at an event and after
+  each delivery that does not report ``False``, and ``deliver`` runs
+  only where the keys match;
+- ``schedule()`` and ``unstep(before, after)`` — a step at a slot
+  before ``next_event_slot()`` must change nothing but what
+  ``schedule()`` reports (for ``ColoringNode``, the slot of its next
+  transmission), and ``unstep`` takes back such a step, which moved
+  ``schedule()`` from ``before`` to ``after``.  A delivery in between
+  may have replaced the schedule (entering a new state clears it), so
+  the node restores ``before`` only where it still holds ``after``;
+  the engine never writes node fields itself.
+
+Block-stepped (``run(..., block > 1)``), the route works in *spans*.  A
+span opens at a slot where nodes are due; wakes and scheduled events
+step only there.  It ends at the next wake, the next
+``next_event_slot()`` of any node, the chunk end or a fixed cap, and
+every step due inside it is taken, in (slot, roster) order, before any
+delivery of the span (only its due slot is re-read after such a step);
+its transmissions are then resolved and delivered as one fire run.  A
+delivery that does not report ``False`` cuts the run after its slot:
+every step taken at a later slot is taken back (the protocol stream
+rewound, each schedule handed back through ``unstep``, newest first)
+and taken again in the next span.  So ``deliver`` returns ``False``
+only if it left ``next_step_slot``, ``next_event_slot()``, the keys
+and every step before the next event as they were.
 """
 
 from __future__ import annotations
@@ -109,8 +135,9 @@ class ProtocolNode(ABC):
         have changed ``tx_prob()``, ``next_event_slot()``,
         ``listen_key()`` or ``message_keys()``; the engine then skips
         re-reading them.  Any other return value, ``None`` included,
-        makes it re-read all four.  On the event-driven classic route
-        the same rule covers ``next_step_slot``.
+        makes it re-read all four and cuts the fire run after this
+        slot.  On the event-driven classic route the same rule covers
+        ``next_step_slot`` and the steps taken ahead of the delivery.
         """
 
     @property

@@ -185,7 +185,7 @@ class UnalignedRadioSimulator(SlotSteppedSimulator):
             return True
         return bool((self.wake_slots <= self.slot).all())
 
-    def _on_deliver(self, u: int, msg: Message, report: bool | None) -> bool:
+    def _on_deliver(self, slot: int, u: int, msg: Message, report: bool | None) -> bool:
         """Core delivery hook: track decodes for double-overlap dedup
         (never cuts: every run here is one slot)."""
         self._delivered_now.append((u, msg))
@@ -270,7 +270,13 @@ class UnalignedRadioSimulator(SlotSteppedSimulator):
             msgs.append(msg)
         senders = self._pending_senders
         run = FireRun(
-            k, k + 1, [k] * len(senders), senders, self._pending_draws, msgs=msgs
+            k,
+            k + 1,
+            [k] * len(senders),
+            senders,
+            [self._pending_draws],
+            msgs=msgs,
+            logged=len(senders),
         )
         self._delivered_now.clear()
         self.core.deliver(

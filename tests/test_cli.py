@@ -112,9 +112,10 @@ class TestConform:
         rc = main(["conform", "--quick"])
         out = capsys.readouterr().out
         assert rc == 0, out
-        # 7 cells: classic-vs-vectorized x4, per-slot-vs-blocked x1,
-        # plus the SINR-PHY and mis-protocol smoke cells.
-        assert "7/7 scenarios conform" in out
+        # 8 cells: classic-vs-vectorized x4, per-slot-vs-blocked x2 (one
+        # block scenario, once per node population), plus the SINR-PHY
+        # and mis-protocol smoke cells.
+        assert "8/8 scenarios conform" in out
 
     def test_injected_bug_exits_nonzero_with_report(self, capsys):
         rc = main(["conform", "--quick", "--inject-bug"])

@@ -34,6 +34,7 @@ from repro.conform import (
     phy_matrix,
     quick_matrix,
     random_scenarios,
+    run_cells,
     run_matrix,
     run_scenario,
 )
@@ -54,13 +55,17 @@ class TestQuickMatrix:
         "scenario", quick_matrix(), ids=_labels(quick_matrix())
     )
     def test_paths_conform(self, scenario):
-        report = run_scenario(scenario)
-        assert report.ok, report.describe()
-        assert report.completed, report.describe()
-        # The compared channel totals must agree too (draw counts are
-        # per-path diagnostics and legitimately differ).
-        for name in ("tx", "rx", "collisions", "lost"):
-            assert report.classic_totals[name] == report.vectorized_totals[name]
+        # A block cell runs once per node population: the classic one's
+        # spans take node steps ahead of the deliveries.
+        reports = run_cells(scenario)
+        assert len(reports) == (2 if scenario.block else 1)
+        for report in reports:
+            assert report.ok, report.describe()
+            assert report.completed, report.describe()
+            # The compared channel totals must agree too (draw counts
+            # are per-path diagnostics and legitimately differ).
+            for name in ("tx", "rx", "collisions", "lost"):
+                assert report.classic_totals[name] == report.vectorized_totals[name]
 
 
 class TestEquivalenceMatrix:

@@ -79,6 +79,10 @@ class TestRunMis:
         times = res.election_times()
         assert np.array_equal(times[leaders], res.trace.decision_times()[leaders])
         assert (times >= 0).all()
+        # The run stops right after the slot its last node is covered in.
+        last = int((times + res.trace.wake_slot).max())
+        assert last == 344
+        assert res.slots == last + 1
         capped = run_mis(dep, wake_slots=ws, seed=6, max_slots=100)
         assert not capped.covered.all()
         assert (capped.election_times()[~capped.covered] == -1).all()

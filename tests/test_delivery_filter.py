@@ -1,10 +1,10 @@
-"""The fast path's delivery filter and change flag must be conservative.
+"""The delivery filter and change flag must be conservative.
 
-The vectorized engine calls ``node.deliver`` only when the receiver's
-``listen_key()`` equals one of the sender's two ``message_keys()``, and
-re-reads a node's cached ``tx_prob`` / ``next_event_slot`` / keys only
-when ``deliver`` does not return ``False``.  Both shortcuts are sound
-only if
+Both event-driven engine routes call ``node.deliver`` only when the
+receiver's ``listen_key()`` equals one of the sender's two
+``message_keys()`` (``ColoringNode`` defines both), and re-read a node's
+cached ``tx_prob`` / ``next_event_slot`` / keys only when ``deliver``
+does not return ``False``.  Both shortcuts are sound only if
 
 - a delivery the filter drops would have left the receiver untouched
   (every ``__slots__`` field unchanged), and

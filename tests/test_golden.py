@@ -149,7 +149,7 @@ class TestGoldenColoring:
         from repro.core import BernoulliColoringNode
 
         dep = random_udg(40, expected_degree=8, seed=1, connected=True)
-        base = run_coloring(dep, seed=11, node_cls=BernoulliColoringNode)
+        base = run_coloring(dep, seed=11, node_cls=BernoulliColoringNode, block=1)
         s = base.summary()
         assert s["completed"] and s["proper"]
         assert s["colors"] == 11

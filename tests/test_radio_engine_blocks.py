@@ -126,7 +126,7 @@ def test_blocked_full_coloring_run(block):
     """run_coloring(block=...) reproduces the per-slot run to the end:
     same colors, same exact stop slot, same metric totals."""
     dep = random_udg(24, expected_degree=6, seed=3, connected=True)
-    base = run_coloring(dep, seed=7, node_cls=BernoulliColoringNode)
+    base = run_coloring(dep, seed=7, node_cls=BernoulliColoringNode, block=1)
     blocked = run_coloring(dep, seed=7, node_cls=BernoulliColoringNode, block=block)
     assert blocked.completed and blocked.proper
     assert np.array_equal(base.colors, blocked.colors)
@@ -183,13 +183,17 @@ def test_run_rejects_invalid_block():
 
 
 def test_classic_path_accepts_block():
-    """block > 1 on the classic (non-vectorized) path falls back to the
-    per-slot base implementation — same results, no crash."""
+    """block > 1 on the classic route steps the ``ColoringNode``s in
+    spans (``run_coloring``'s default) and reproduces the per-slot run:
+    same colors, same stop slot, same metric totals."""
     dep = random_udg(12, expected_degree=5, seed=51, connected=True)
-    base = run_coloring(dep, seed=13)
-    blocked = run_coloring(dep, seed=13, block=64)
-    assert np.array_equal(base.colors, blocked.colors)
-    assert base.slots == blocked.slots
+    base = run_coloring(dep, seed=13, block=1)
+    for blocked in (run_coloring(dep, seed=13, block=64), run_coloring(dep, seed=13)):
+        assert np.array_equal(base.colors, blocked.colors)
+        assert base.slots == blocked.slots
+        assert (
+            base.trace.channel_metrics.totals() == blocked.trace.channel_metrics.totals()
+        )
 
 
 def _work_inputs(shape):
@@ -215,10 +219,12 @@ def _work_inputs(shape):
 #: Exact work counts per ``block`` of one run to completion of each
 #: input: slots, fire slots (slots with a transmission), bulk empty
 #: spans, stream skips and calls on the protocol stream, and the
-#: Python-level calls of each layer.  A blocked fast-path run resolves
-#: and delivers every fire slot drawn under one state in one call; its
+#: Python-level calls of each layer.  A blocked run resolves and
+#: delivers every fire slot taken under one state in one call; its
 #: ``block=1`` twin does the same work slot by slot and must end in the
-#: same place.
+#: same place.  On the classic ``e1-sweep`` input the blocked run steps
+#: more often than its twin: steps taken past a cut are taken back and
+#: taken again.
 WORK_PINS = {
     "sync-contended": {
         4096: dict(slots=49229, fire_slots=19859, channel_empty=6, skip=1,
@@ -237,8 +243,11 @@ WORK_PINS = {
                 resolve=13012, core_deliver=13012),
     },
     "e1-sweep": {
+        4096: dict(slots=11361, fire_slots=6734, channel_empty=45, skip=0,
+                   rng_calls=11585, step=16025, deliver=6352, refresh=0, emit=0,
+                   resolve=202, core_deliver=202),
         1: dict(slots=11361, fire_slots=6734, channel_empty=0, skip=0,
-                rng_calls=11585, step=11608, deliver=50060, refresh=0, emit=0,
+                rng_calls=11585, step=11608, deliver=6352, refresh=0, emit=0,
                 resolve=6734, core_deliver=6734),
     },
 }
@@ -302,7 +311,7 @@ def test_work_is_pinned(monkeypatch, shape):
         assert res.trace.channel_metrics.totals() == twin.trace.channel_metrics.totals()
 
 
-class _OversizeNode(BernoulliColoringNode):
+class _OversizeNode(ColoringNode):
     """From slot 200 on, every third node's messages exceed the bound
     ``enforce_message_bits`` sets (``emit`` stays pure: slot and vid
     decide)."""
@@ -316,16 +325,21 @@ class _OversizeNode(BernoulliColoringNode):
         return msg
 
 
+class _OversizeBernoulliNode(_OversizeNode, BernoulliColoringNode):
+    __slots__ = ()
+
+
 def test_message_bits_checked_at_the_same_transmission_at_any_block():
     """A blocked run checks message sizes exactly on the transmissions of
-    the slots it processes, never on one drawn past a cut, so the first
-    violation is the per-slot run's."""
+    the slots it processes, never on one drawn (or stepped) past a cut,
+    so the first violation is the per-slot run's, on both routes."""
     dep, params, wake = _world(12, 5.0, 7, 8, 0)
-    errors = []
-    for block in (1, 64, 4096):
-        sim, _ = build_simulator(dep, params, wake, seed=3, node_cls=_OversizeNode,
-                                 trace_level=0, enforce_message_bits=True)
-        with pytest.raises(RuntimeError, match="-bit message") as err:
-            sim.run(5000, block=block)
-        errors.append(str(err.value))
-    assert errors == [errors[0]] * 3
+    for node_cls in (_OversizeBernoulliNode, _OversizeNode):
+        errors = []
+        for block in (1, 64, 4096):
+            sim, _ = build_simulator(dep, params, wake, seed=3, node_cls=node_cls,
+                                     trace_level=0, enforce_message_bits=True)
+            with pytest.raises(RuntimeError, match="-bit message") as err:
+                sim.run(5000, block=block)
+            errors.append(str(err.value))
+        assert errors == [errors[0]] * 3, node_cls.__name__
