@@ -233,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conform.add_argument(
         "--block", type=int, default=0, metavar="B",
         help="compare the engine's block-stepped mode (step_block with "
-        "blocks of B slots) against its per-slot stepping, once on the "
+        "blocks of B slots) against its one-slot stepping, once on the "
         "vectorized and once on the classic node population, instead of "
         "the classic-vs-vectorized comparison (0 = off)",
     )

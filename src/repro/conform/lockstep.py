@@ -357,7 +357,7 @@ def run_block_lockstep(
     phy_factory: Callable[[], PhyModel] | None = None,
     protocol: ColoringProtocol | str | None = None,
 ) -> ConformanceReport:
-    """Lockstep per-slot stepping of one population against its
+    """Lockstep one-slot stepping of one population against its
     block-stepped mode.
 
     Both sides are the *same* route — identically-seeded simulators over
@@ -365,9 +365,10 @@ def run_block_lockstep(
     ``node_cls`` (the default), the event-driven classic route for a
     ``ColoringNode``-family one — so the claim under test is the
     strongest one in the engine: :meth:`RadioSimulator.step_block` must
-    be **byte-identical** to per-slot stepping.  Unlike the
-    classic-vs-vectorized lockstep, the comparison therefore covers all
-    six channel-metric columns (including the per-path diagnostic draw
+    be **byte-identical** to stepping slot by slot (``step()``, a span
+    of one slot of the same loop), wherever the span boundaries fall.
+    Unlike the classic-vs-vectorized lockstep, the comparison therefore
+    covers all six channel-metric columns (including the per-path diagnostic draw
     counters ``protocol_draws`` / ``loss_draws``: the block draw
     ``random((B, n))`` and the all-passive-span ``skip`` consume the
     PCG64 stream exactly like per-slot ``random(n)`` calls, a classic
@@ -377,7 +378,7 @@ def run_block_lockstep(
     multi-slot row walk) and the terminal node state.
 
     The blocked side advances ``block`` slots per ``step_block`` call
-    while the per-slot side takes single steps; events and metric rows
+    while the other side takes single steps; events and metric rows
     are compared chunk-by-chunk and any mismatch is localized to its
     exact slot.
 

@@ -10,7 +10,7 @@ Four entry points over :func:`repro.conform.lockstep.run_lockstep`:
   worker processes via the experiment harness's deterministic sweep
   executor (:func:`repro.experiments.parallel.run_sweep`), reports in
   scenario order regardless of worker count;
-- :func:`fuzz` — a wall-clock-budgeted walk over
+- :func:`fuzz` — a wall-clock-budgeted walk over the cells of
   :func:`~repro.conform.scenarios.random_scenarios`, stopping at the
   first divergence (fail fast: the reproducer matters more than the
   count) or when the budget or scenario cap runs out.
@@ -170,11 +170,13 @@ def run_matrix(
 
 @dataclass
 class FuzzResult:
-    """Outcome of a budgeted fuzz campaign."""
+    """Outcome of a budgeted fuzz campaign: one report per cell of the
+    ``scenarios`` scenarios run."""
 
     reports: list[ConformanceReport] = field(default_factory=list)
     elapsed_s: float = 0.0
     budget_exhausted: bool = False
+    scenarios: int = 0
 
     @property
     def ok(self) -> bool:
@@ -188,8 +190,8 @@ class FuzzResult:
         """Campaign summary line plus the first failure's report, if any."""
         verdict = "all conform" if self.ok else "DIVERGENCE FOUND"
         lines = [
-            f"fuzz: {len(self.reports)} scenarios in {self.elapsed_s:.1f}s "
-            f"({verdict})"
+            f"fuzz: {self.scenarios} scenarios ({len(self.reports)} cells) "
+            f"in {self.elapsed_s:.1f}s ({verdict})"
         ]
         failure = self.first_failure
         if failure is not None:
@@ -205,19 +207,22 @@ def fuzz(
 ) -> FuzzResult:
     """Fuzz random scenarios until the budget, the cap, or a divergence.
 
-    The scenario stream is fully determined by ``master_seed``; the
-    wall-clock budget only decides *how far* into the stream the
-    campaign gets, so any failure it finds is replayable from the
-    failing scenario record alone.
+    Each scenario runs as its cells (:func:`run_cells`), so a block
+    scenario adds one report per node population.  The scenario stream
+    is fully determined by ``master_seed``; the wall-clock budget only
+    decides *how far* into the stream the campaign gets, so any failure
+    it finds is replayable from the failing scenario record alone.
     """
     if budget_s <= 0:
         raise ValueError(f"budget_s must be positive, got {budget_s}")
     result = FuzzResult()
     t0 = time.monotonic()  # repro: noqa RPR003 -- fuzz wall-clock budget: decides only how many scenarios run, never any scenario's content (stream is fixed by master_seed)
     for count, scenario in enumerate(random_scenarios(master_seed), start=1):
-        result.reports.append(run_scenario(scenario))
+        cells = run_cells(scenario)
+        result.reports.extend(cells)
+        result.scenarios = count
         result.elapsed_s = time.monotonic() - t0  # repro: noqa RPR003 -- telemetry only; see budget note above
-        if not result.reports[-1].ok:
+        if not all(report.ok for report in cells):
             break
         if max_scenarios is not None and count >= max_scenarios:
             break

@@ -264,10 +264,10 @@ def _block_matrix() -> tuple[Scenario, ...]:
     """Pinned block-vs-per-slot lockstep cells.
 
     These assert that :meth:`~repro.radio.engine.RadioSimulator.
-    step_block` is byte-identical to per-slot stepping of the same
-    vectorized engine — across wake schedules (the staggered/random
-    cells exercise long all-passive spans, which the blocked mode
-    fast-forwards with ``advance`` instead of generating), with loss
+    step_block` is byte-identical to one-slot stepping of the same
+    engine — across wake schedules (the staggered/random cells exercise
+    long all-passive spans, which the blocked mode fast-forwards with
+    ``advance`` in one call instead of one per slot), with loss
     injection (the loss-draw column must match to the draw), on
     multi-channel PHYs (lazy per-slot hop draws must stay lazy), and
     with a block far beyond the run length (one giant chunk; segment
@@ -403,12 +403,15 @@ def random_scenarios(master_seed: int = 0) -> Iterator[Scenario]:
 
     Sweeps family, size (8..40), degree (3..8), schedule, loss
     (0 / 0.05 / 0.1 / 0.2), and the protocol-constants scale
-    (0.6 / 1.0 / 1.5); per-scenario seeds are drawn from the stream, so
-    the whole fuzz run is reproducible from ``master_seed``.
+    (0.6 / 1.0 / 1.5); a third of the scenarios are block cells, with a
+    block size of 3, 16, 128 or 4096, which :func:`~repro.conform.
+    runner.run_cells` runs on both node populations.  Per-scenario seeds
+    are drawn from the stream, so the whole fuzz run is reproducible
+    from ``master_seed``.
     """
     rng = spawn_generator(master_seed, 0xF0552)
     while True:
-        yield Scenario(
+        scenario = Scenario(
             family=FAMILIES[int(rng.integers(len(FAMILIES)))],
             n=int(rng.integers(8, 41)),
             degree=float(rng.integers(3, 9)),
@@ -417,6 +420,9 @@ def random_scenarios(master_seed: int = 0) -> Iterator[Scenario]:
             seed=int(rng.integers(0, 1 << 31)),
             param_scale=float(rng.choice([0.6, 1.0, 1.5])),
         )
+        if rng.random() < 1 / 3:
+            scenario = replace(scenario, block=int(rng.choice([3, 16, 128, 4096])))
+        yield scenario
 
 
 def replay(scenario: Scenario, **overrides) -> Scenario:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.node import ColoringNode
-from repro.core.params import Parameters, suggested_max_slots
-from repro.core.protocol import DEFAULT_BLOCK, build_simulator
+from repro.core.params import Parameters
+from repro.core.protocol import run_coloring
+from repro.core.strategy import _covered
 from repro.graphs.deployment import Deployment
 from repro.radio.trace import TraceRecorder
 
@@ -87,38 +87,22 @@ def run_mis(
     Runs the coloring protocol's first stage and stops as soon as every
     node is *covered*: it either entered ``C_0`` or learned its leader
     (left ``A_0``).  The rest of the protocol (intra-cluster colors,
-    verification) never starts mattering for the returned result.
+    verification) never starts mattering for the returned result.  This
+    is :func:`~repro.core.protocol.run_coloring` with the ``mis``
+    protocol, which checks coverage at every slot, so ``slots`` is the
+    exact cover slot.
     """
     if dep.n == 0:
         raise ValueError("cannot elect leaders on an empty deployment")
-    if params is None:
-        params = Parameters.for_deployment(dep)
-    sim, nodes = build_simulator(dep, params, wake_slots, seed=seed)
-    if max_slots is None:
-        wake_max = int(sim.wake_slots.max())
-        # Leader election is one verification state: a fraction of the
-        # full budget more than suffices.
-        max_slots = suggested_max_slots(params, wake_max)
-
-    def covered(node: ColoringNode) -> bool:
-        return node.color == 0 or node.leader is not None
-
-    # Checked at every slot, so ``slots`` is the exact cover slot; on
-    # spans the O(n) predicate runs once per span, not once per slot.
-    res = sim.run(
-        max_slots,
-        stop_when=lambda s: all(covered(node) for node in nodes),
-        check_every=1,
-        block=DEFAULT_BLOCK,
+    res = run_coloring(
+        dep, params, wake_slots, seed=seed, max_slots=max_slots, protocol="mis"
     )
-    in_mis = np.array([node.color == 0 for node in nodes], dtype=bool)
-    covered_mask = np.array([covered(node) for node in nodes], dtype=bool)
     return MisResult(
         deployment=dep,
-        params=params,
-        in_mis=in_mis,
-        covered=covered_mask,
+        params=res.params,
+        in_mis=res.leaders,
+        covered=np.array([_covered(node) for node in res.nodes], dtype=bool),
         slots=res.slots,
-        completed=bool(covered_mask.all()),
-        trace=sim.trace,
+        completed=res.completed,
+        trace=res.trace,
     )

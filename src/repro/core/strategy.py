@@ -153,11 +153,12 @@ class MisProtocol(ColoringProtocol):
     *independence* of the elected set and
     :attr:`~repro.core.protocol.ColoringResult.leaders` is the MIS.
 
-    The standalone primitive :func:`repro.core.mis.run_mis` (which also
-    reports per-node cover slots) remains the fine-grained API; this
-    class is the same semantics plugged into the shared orchestration,
-    so MIS runs on every engine path — per-slot and blocked — and over
-    every PHY.
+    The standalone primitive :func:`repro.core.mis.run_mis` runs this
+    protocol through :func:`~repro.core.protocol.run_coloring` and reads
+    the result out as a :class:`~repro.core.mis.MisResult` (which also
+    reports per-node cover slots); through the shared orchestration MIS
+    runs on every engine path — per-slot and blocked — and over every
+    PHY.
     """
 
     name = "mis"

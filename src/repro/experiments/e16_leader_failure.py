@@ -23,16 +23,13 @@ import numpy as np
 
 from repro.analysis.verify import check_proper_coloring
 from repro.core import Parameters
-from repro.core.node import ColoringNode
-from repro.core.protocol import build_simulator
+from repro.core.node import _DEAF, _FAR, _MUTE, ColoringNode
+from repro.core.protocol import DEFAULT_BLOCK, build_simulator
 from repro.experiments.runner import Table, sweep_seeds
 from repro.graphs import random_udg
 from repro._util import spawn_generator
 
 __all__ = ["run", "run_with_leader_failures"]
-
-_FAR = 1 << 62  # effectively-infinite slot number
-
 
 class MortalNode(ColoringNode):
     """A ColoringNode that can be killed: once dead it never transmits
@@ -46,21 +43,27 @@ class MortalNode(ColoringNode):
 
     def step(self, slot, rng):
         """Dead nodes never transmit."""
-        if self.dead:
-            return None
-        return super().step(slot, rng)
+        return None if self.dead else super().step(slot, rng)
 
     def deliver(self, slot, msg):
         """Dead nodes never receive (and report no change)."""
-        if self.dead:
-            return False
-        return super().deliver(slot, msg)
+        return False if self.dead else super().deliver(slot, msg)
 
     def next_step_slot(self, slot):
         """Dead nodes have no step left to take."""
-        if self.dead:
-            return _FAR
-        return super().next_step_slot(slot)
+        return _FAR if self.dead else super().next_step_slot(slot)
+
+    def next_event_slot(self):
+        """Dead nodes have no event left (a stale one would end every span)."""
+        return _FAR if self.dead else super().next_event_slot()
+
+    def listen_key(self):
+        """Dead nodes react to no message."""
+        return _DEAF if self.dead else super().listen_key()
+
+    def message_keys(self):
+        """Dead nodes send nothing."""
+        return (_MUTE, _MUTE) if self.dead else super().message_keys()
 
 
 def run_with_leader_failures(
@@ -73,7 +76,8 @@ def run_with_leader_failures(
 ):
     """Run the protocol, killing ``kill_fraction`` of the current leaders
     at slot ``kill_at_factor * threshold``.  Returns (stuck, killed,
-    decided_mask, params)."""
+    decided_mask, params, nodes).  Runs in spans up to the kill slot,
+    then on to the horizon, checking completion every 64 slots."""
     params = Parameters.for_deployment(dep)
     sim, nodes = build_simulator(dep, params, seed=seed, node_cls=MortalNode)
     kill_slot = int(kill_at_factor * params.threshold)
@@ -81,17 +85,26 @@ def run_with_leader_failures(
     rng = spawn_generator(seed, 0xDEAD)
     killed: list[int] = []
     decide_slot = sim.trace.decide_slot
-    while sim.slot < horizon:
-        sim.step()
-        if sim.slot == kill_slot:
-            leaders = [v for v, nd in enumerate(nodes) if nd.color == 0]
-            k = int(round(kill_fraction * len(leaders)))
-            if k:
-                killed = [int(v) for v in rng.choice(leaders, size=k, replace=False)]
-                for v in killed:
-                    nodes[v].dead = True
-        if sim.all_woken and sim.slot % 64 == 0 and bool((decide_slot >= 0).all()):
-            break
+
+    def all_decided(_sim) -> bool:
+        return bool((decide_slot >= 0).all())
+
+    def run_to(slot: int) -> None:
+        sim.run(slot, stop_when=all_decided, check_every=64, block=DEFAULT_BLOCK)
+
+    run_to(min(kill_slot, horizon))
+    # A stop reported at the kill slot itself still kills: completion
+    # counts only on a 64-slot boundary, checked after the kill.
+    if sim.slot == kill_slot:
+        leaders = [v for v, nd in enumerate(nodes) if nd.color == 0]
+        k = int(round(kill_fraction * len(leaders)))
+        if k:
+            killed = [int(v) for v in rng.choice(leaders, size=k, replace=False)]
+            for v in killed:
+                nodes[v].dead = True
+                sim.refresh(v)
+        if not (kill_slot % 64 == 0 and sim.all_woken and all_decided(sim)):
+            run_to(horizon)
     decided = np.array([nd.color >= 0 for nd in nodes])
     stuck = [v for v in range(dep.n) if not decided[v]]
     return stuck, killed, decided, params, nodes

@@ -991,6 +991,33 @@ class SlotSteppedSimulator(ABC):
     slot: int
     trace: TraceRecorder
 
+    def _set_population(
+        self,
+        deployment: Deployment,
+        nodes: "Sequence[ProtocolNode]",
+        wake_slots: "Sequence[int] | np.ndarray",
+    ) -> None:
+        """Check and keep the inputs every simulator takes: one node per
+        deployment node, each at the index of its ``vid``, and one
+        non-negative whole wake slot per node (kept as int64)."""
+        n = deployment.n
+        if len(nodes) != n:
+            raise ValueError(f"{len(nodes)} nodes for {n}-node deployment")
+        for vid, node in enumerate(nodes):
+            if node.vid != vid:
+                raise ValueError(f"node at index {vid} has vid {node.vid}")
+        given = np.asarray(wake_slots)
+        if given.shape != (n,):
+            raise ValueError(f"wake_slots must have shape ({n},)")
+        wake = given.astype(np.int64)
+        if (wake != given).any():
+            raise ValueError("wake_slots must be whole slot numbers")
+        if n and wake.min() < 0:
+            raise ValueError("wake_slots must be non-negative")
+        self.deployment = deployment
+        self.nodes = list(nodes)
+        self.wake_slots = wake
+
     @abstractmethod
     def step(self) -> None:
         """Advance the network by one slot."""
@@ -1058,6 +1085,8 @@ class SlotSteppedSimulator(ABC):
         evaluated once per span and localized to the exact check slot,
         rather than being re-called at every boundary the span covers.
         """
+        if max_slots < 0:
+            raise ValueError(f"max_slots must be >= 0, got {max_slots}")
         if check_every < 1:
             raise ValueError(f"check_every must be >= 1, got {check_every}")
         if block < 1:

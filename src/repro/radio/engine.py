@@ -18,7 +18,7 @@ channel.PhyModel` decides who can hear whom (the default
 :class:`~repro.radio.channel.MultiChannelPhy` resolves per channel) and
 the shared :class:`~repro.radio.channel.ChannelCore` applies loss
 injection, delivery, and metrics emission.  This module owns phases
-1–2: wake-up processing and the two transmission-collection paths.
+1–2: wake-up processing and collecting each slot's transmissions.
 
 Performance: sending probabilities in the algorithm are ``1/(kappa_2 *
 Delta)`` (non-leaders) or ``1/kappa_2`` (leaders), so the expected number
@@ -27,32 +27,35 @@ PHY is therefore *transmitter-centric*: it expands only the
 neighborhoods of actual transmitters instead of scanning all ``n``
 nodes — the "compute on what's hot" advice from the HPC guides.
 
-Two transmission-collection paths share those channel semantics:
+The engine advances in *spans*: consecutive slots in which no wake and
+no scheduled event falls, so that only a delivery can change the state
+a span's transmissions were decided under.  One span loop,
+:meth:`RadioSimulator.step_block` (:meth:`~RadioSimulator.step` is a
+span of one slot), serves two event-driven routes, chosen by the node
+population alone:
 
-- the **classic path** calls :meth:`ProtocolNode.step` per node, in
-  roster (wake) order.  When every node has ``next_step_slot`` (see
-  :mod:`repro.radio.node`; :class:`~repro.core.node.ColoringNode` does)
-  it is event-driven: a node steps only at the slots where its step
-  can transmit, draw or change state, a slot with none of them calls
-  no step at all, and ``deliver`` runs only where the delivery keys
-  match.  Block-stepped, it takes the steps of a whole span ahead of
-  the deliveries and resolves and delivers the span's transmissions
-  as one :class:`~repro.radio.channel.FireRun`, taking back the steps
-  a state-changing delivery overtook.  Any other population (the
-  frame-coloring baseline, the executable-spec reference, ad-hoc test
-  nodes) steps every awake node every slot, and each slot with
-  transmissions is a fire run of one slot;
-- the **vectorized fast path** activates automatically when *every* node
-  implements the batched interface (see
-  :class:`~repro.radio.node.ProtocolNode` and
+- the **vectorized route** engages when *every* node implements the
+  batched interface (``tx_prob``; see :mod:`repro.radio.node` and
   :class:`~repro.core.vector_node.BernoulliColoringNode`).  The engine
   keeps dense per-node send probabilities, event slots and delivery
-  keys, draws the transmit Bernoullis of all nodes for a span of slots
-  in one segment draw, and resolves and delivers every fire slot drawn
-  under one state in one :class:`~repro.radio.channel.FireRun`.  It
-  pays Python-call cost only for deliveries the key filter lets
-  through, the senders whose messages those deliveries need, and
-  (rare) state events.
+  keys, and draws the transmit Bernoullis of all nodes for a span in
+  one segment draw.  It pays Python-call cost only for deliveries the
+  key filter lets through, the senders whose messages those deliveries
+  need, and (rare) state events;
+- the **event-driven classic route** engages when every node has
+  ``next_step_slot`` (:class:`~repro.core.node.ColoringNode` does).  A
+  node steps only at the slots where its step can transmit, draw or
+  change state, and a span's steps are taken ahead of its deliveries;
+  the ones a state-changing delivery overtakes are taken back.
+
+On both, a span's transmissions are resolved and delivered as one
+:class:`~repro.radio.channel.FireRun`, cut after the first slot whose
+deliveries change the state, and a stretch in which nothing can
+transmit is recorded in bulk.  Any other population (the
+frame-coloring baseline, the executable-spec reference, ad-hoc test
+nodes) steps every awake node every slot in a per-slot loop, where a
+slot with transmissions is a fire run of one slot; that loop is the
+independent reference both routes are tested against.
 
 Determinism contract: the protocol stream (``rng``) is consumed in slot
 order by protocol decisions only.  Loss injection draws from a *spawned
@@ -101,14 +104,17 @@ __all__ = ["RadioSimulator", "SimulationResult"]
 #: effectively-infinite slot number for "no scheduled event"
 _FAR = 1 << 62
 
-# Span cap for the block-stepped paths: uniforms are drawn at most this
-# many slots at a time into one reused buffer, and a classic span takes
-# the steps of at most this many slots ahead of their deliveries.  Keeps
-# the working set cache-resident (128 x n float64 is ~1.6 MB at
-# n = 1600) — PCG64 throughput degrades ~3x when each segment draw
-# faults in fresh multi-megabyte pages — and bounds the steps a cut
-# takes back.  Purely an execution detail: results never depend on it.
+# Span cap: a classic span takes the steps of at most this many slots
+# ahead of their deliveries, which bounds the steps a cut takes back,
+# and a segment draw covers at most this many slots.
 _DRAW_CHUNK = 128
+# Byte cap of the one reused segment buffer (_DRAW_CHUNK rows up to
+# n = 2048, 2 rows at n = 10^5, one row of n uniforms beyond 2^18
+# nodes).  Keeps the working set cache-resident — PCG64 throughput
+# degrades ~3x when each segment draw faults in fresh multi-megabyte
+# pages — and the buffer's memory flat in n.  Both caps are execution
+# details: results never depend on them.
+_DRAW_BYTES = 1 << 21
 
 
 class RadioSimulator(SlotSteppedSimulator):
@@ -157,19 +163,8 @@ class RadioSimulator(SlotSteppedSimulator):
         loss_prob: float = 0.0,
         phy: PhyModel | None = None,
     ) -> None:
+        self._set_population(deployment, nodes, wake_slots)
         n = deployment.n
-        if len(nodes) != n:
-            raise ValueError(f"{len(nodes)} nodes for {n}-node deployment")
-        self.deployment = deployment
-        self.nodes = list(nodes)
-        for vid, node in enumerate(self.nodes):
-            if node.vid != vid:
-                raise ValueError(f"node at index {vid} has vid {node.vid}")
-        self.wake_slots = np.asarray(wake_slots, dtype=np.int64)
-        if self.wake_slots.shape != (n,):
-            raise ValueError(f"wake_slots must have shape ({n},)")
-        if n and self.wake_slots.min() < 0:
-            raise ValueError("wake slots must be non-negative")
         # Both streams are metered so per-slot draw counts land in the
         # channel metrics; metering is a transparent proxy (same stream).
         self.rng = rng if isinstance(rng, RngMeter) else RngMeter(rng)
@@ -196,9 +191,9 @@ class RadioSimulator(SlotSteppedSimulator):
         order = np.argsort(self.wake_slots, kind="stable")
         self._wake_order = order
         self._next_wake = 0  # index into _wake_order
-        # Next pending wake slot as a plain int: the per-slot paths guard
-        # their wake processing on one integer compare instead of a numpy
-        # index into _wake_order every slot.
+        # Next pending wake slot as a plain int: every span guards its
+        # wake processing on one integer compare instead of a numpy index
+        # into _wake_order.
         self._next_wake_slot = int(self.wake_slots[order[0]]) if n else _FAR
         self._awake: list[int] = []
         self._append_metrics = self.trace.channel_metrics.append
@@ -244,18 +239,18 @@ class RadioSimulator(SlotSteppedSimulator):
             # Fire-candidate cache, keyed on the state generation: the
             # columns with p > 0 and their probabilities.  State changes
             # (wakes, events, deliveries) are rare relative to slots, so
-            # both per-slot and block-stepped paths reuse these across
-            # long spans instead of recomputing full-width nonzero/p
-            # scans every slot.
+            # spans reuse these instead of recomputing full-width
+            # nonzero/p scans.
             self._active = np.empty(0, dtype=np.int64)
             self._pa = np.empty(0, dtype=np.float64)
             self._active_gen = -1
-            self._draw_buf: np.ndarray | None = None  # step_block segment buffer
-            # Hot-path bound methods (the generator and bit generator are
-            # fixed for the simulator's lifetime): saves two attribute
-            # chains per slot on the per-slot path.
-            self._rand = self.rng.generator.random
-            self._advance = self.rng.generator.bit_generator.advance
+            # The segment buffer every segment draw reuses (its pages
+            # are touched only by the rows a draw fills) and the current
+            # segment: uniforms for the slots [_seg_lo, _seg_hi).
+            rows = min(_DRAW_CHUNK, max(1, _DRAW_BYTES // (8 * n)))
+            self._draw_buf = np.empty((rows, n))
+            self._seg = self._draw_buf
+            self._seg_lo = self._seg_hi = 0
             self.core.on_deliver = self._on_deliver
             self.core.keys = self._keys
         elif n > 0 and all(hasattr(node, "next_step_slot") for node in self.nodes):
@@ -376,6 +371,27 @@ class RadioSimulator(SlotSteppedSimulator):
             self._active_gen = self._gen
         return self._active
 
+    def _collect_drawn(self, t: int, bound: int) -> FireRun:
+        """Phase 2 (vectorized route): the fire run of a span ``[t,
+        lim)``, ``lim <= bound``: every ``(slot, node)`` whose uniform,
+        from the current segment or a new segment draw, falls below the
+        node's send probability."""
+        nodes = self.nodes
+        n = len(nodes)
+        if t >= self._seg_hi:
+            m = min(bound - t, len(self._draw_buf))
+            self._seg = self.rng.fill(self._draw_buf[:m])
+            self._seg_lo, self._seg_hi = t, t + m
+        lim = min(bound, self._seg_hi)
+        sub = self._seg[t - self._seg_lo : lim - self._seg_lo]
+        active = self._active
+        if active.size == n:
+            rows, senders = np.nonzero(sub < self._p)
+        else:
+            rows, cols = np.nonzero(sub[:, active] < self._pa)
+            senders = active[cols]
+        return FireRun(t, lim, rows + t, senders, [n] * (lim - t), nodes=nodes)
+
     def _collect_classic(self, t: int, end: int) -> FireRun:
         """Phase 2 (classic route): the protocol steps of a span of
         slots ``[t, lim)``, returned as its fire run (``lim`` is the
@@ -477,44 +493,8 @@ class RadioSimulator(SlotSteppedSimulator):
         for v in dict.fromkeys(undone):
             self._reread(v, end - 1)
 
-    def _collect_vectorized(self, t: int) -> np.ndarray:
-        """Phase 2 (fast path): scheduled events, then one batched
-        Bernoulli draw for all nodes' transmit decisions; returns the
-        firing node ids in ascending order.
-
-        The full-width work of the naive formulation is gated on caches:
-        scheduled events are only scanned when ``_evt_min`` says one is
-        due, the fire-candidate columns (``p > 0``) are rebuilt only when
-        the state generation changed, and the per-slot uniform vector is
-        compared only against those columns.  All-passive slots advance
-        the stream via :meth:`~repro._util.RngMeter.skip` instead of
-        generating — state- and meter-identical to drawing and
-        discarding, so the stream contract (one ``random(n)``'s worth of
-        variates per slot, in slot order) is unchanged.
-        """
-        n = len(self.nodes)
-        if self._evt_min <= t:
-            self._events_due(t)
-        active = self._update_active()
-        rng = self.rng
-        rng.calls += 1
-        rng.draws += n
-        if active.size == 0:
-            # Nothing can fire: random() < 0.0 never holds, so consume
-            # the slot's variates without generating them (skip with the
-            # meter accounting already applied above).
-            self._advance(n)
-            return active
-        # Metered draw, with the proxy's dispatch inlined (this is the
-        # hottest line of the per-slot path): identical stream, identical
-        # draw accounting.
-        u = self._rand(n)
-        if active.size == n:
-            return np.nonzero(u < self._p)[0]
-        return active[u.take(active) < self._pa]
-
     def _fire_run(self, run: FireRun) -> int:
-        """Phases 3-4 of a fire run (every path): the PHY resolves it,
+        """Phases 3-4 of a fire run (every route): the PHY resolves it,
         the core delivers and records it; returns the end of the
         processed span.  A cut before ``run.t1`` hands the PHY's side
         stream back to the cut."""
@@ -523,38 +503,41 @@ class RadioSimulator(SlotSteppedSimulator):
             self.phy.rewind(end)
         return end
 
+    def refresh(self, v: int) -> None:
+        """Re-read node ``v`` after the caller changed it between steps
+        (E16 kills leaders this way): its send probability or next due
+        step, its next event slot and its delivery keys.  A no-op for
+        populations stepped every slot, which cache nothing."""
+        if self.vectorized:
+            self._refresh(v)
+        elif self._due is not None:
+            self._reread(v, self.slot - 1)
+            self._due_min = min(self._due)
+
     def step(self) -> None:
         """Advance the network by one slot (and record its channel
         metrics: transmitters, deliveries, collisions, injected losses,
         and the RNG draws each stream consumed).
 
-        A slot with transmissions is a fire run of one slot; an empty
-        slot skips the PHY and the core (channel contract item 4) and
-        appends its metrics row directly."""
+        On both event-driven routes this is :meth:`step_block` of one
+        slot.  Any other population steps every awake node: a slot with
+        transmissions is a fire run of one slot, and an empty slot skips
+        the PHY and the core (channel contract item 4) and appends its
+        metrics row directly."""
+        if self.vectorized or self._due is not None:
+            self.step_block(1)
+            return
         t = self.slot
-        n = len(self.nodes)
         if self._next_wake_slot <= t:
             self._wake_due(t)
-        if self.vectorized:
-            fire = self._collect_vectorized(t)
-            if fire.size:
-                self._fire_run(
-                    FireRun(t, t + 1, [t] * fire.size, fire.tolist(), [n],
-                            nodes=self.nodes)
-                )
-            else:
-                self._append_metrics(0, 0, 0, 0, n, 0)
-        elif self._due_min > t:
-            self._append_metrics(0, 0, 0, 0, 0, 0)  # nothing due
+        run = self._collect_classic(t, t + 1)
+        if len(run):
+            self._fire_run(run)
         else:
-            run = self._collect_classic(t, t + 1)
-            if len(run):
-                self._fire_run(run)
-            else:
-                self._append_metrics(0, 0, 0, 0, run.draws[0], 0)
+            self._append_metrics(0, 0, 0, 0, run.draws[0], 0)
         self.slot = t + 1
 
-    # -- block-stepped execution --------------------------------------------
+    # -- span loop -------------------------------------------------------
     def _stop_at(
         self,
         t: int,
@@ -581,115 +564,99 @@ class RadioSimulator(SlotSteppedSimulator):
         check_every: int = 16,
     ) -> bool:
         """Advance up to ``count`` slots, paying Python cost per *span*
-        of frozen state rather than per slot.
+        of frozen state rather than per slot; trajectory- and
+        metrics-identical to ``count`` slots of the per-slot loop, which
+        any other population runs.
 
-        Trajectory- and metrics-identical to ``count`` calls of
-        :meth:`step`.  Wakes and scheduled events end a span; within it
-        no node's send probability, event slot or delivery key changes
-        except through deliveries.  On the vectorized route, per span:
-
-        - the transmit uniforms come from a segment draw
-          ``rng.random((m, n))``, which consumes the PCG64 stream exactly
-          like ``m`` sequential ``rng.random(n)`` calls, or — when every
-          send probability is zero — from
-          :meth:`~repro._util.RngMeter.skip`;
-        - every fire slot of the span is resolved and delivered in one
-          :meth:`_fire_run`, cut after the first slot whose deliveries
-          change the state (the next span resumes there, reusing the
-          segment's remaining rows); runs of empty slots emit their
-          all-zero metrics in bulk.
-
-        The event-driven classic route (:meth:`_step_spans`) has the
-        same skeleton with node steps in place of the segment draw; any
-        other population steps slot by slot.
+        Wakes and scheduled events end a span; within it no node's send
+        probability, due step, event slot or delivery key changes except
+        through deliveries.  A stretch in which nothing can transmit
+        (every send probability zero; no step due) is recorded in bulk,
+        the vectorized stream advanced by
+        :meth:`~repro._util.RngMeter.skip`.  Otherwise the span's
+        transmissions are collected (:meth:`_collect_drawn`,
+        :meth:`_collect_classic`) and resolved and delivered in one
+        :meth:`_fire_run`, cut after the first slot whose deliveries
+        change the state; the next span resumes there, on the segment's
+        remaining rows, and classic steps past the cut are taken back
+        (:meth:`_take_back`) and taken again.
 
         Stop predicates must be state-only (see
         :meth:`SlotSteppedSimulator.run`): the predicate is evaluated
         once per span, before its run, and a true result is localized to
         the exact first ``check_every`` boundary the per-slot loop would
         have stopped at; after a cut it is evaluated again if the cut
-        lands on a boundary.  After such an early stop the *protocol
-        trajectory and all recorded metrics* match the per-slot run
-        exactly, but uniforms drawn for the never-simulated remainder of
-        the current segment leave the generator object further along —
-        observable only if the caller keeps stepping the same simulator
-        past a stop.
+        lands on a boundary.  After such an early stop the generator
+        object sits past the uniforms drawn for the rest of the current
+        segment; a caller that keeps stepping is served those rows
+        first.
         """
-        if count <= 1 or not (self.vectorized or self._due is not None):
+        vectorized = self.vectorized
+        due = self._due
+        if not vectorized and due is None:
             return super().step_block(count, stop_when, check_every)
-        if not self.vectorized:
-            return self._step_spans(count, stop_when, check_every)
-        nodes = self.nodes
-        n = len(nodes)
+        n = len(self.nodes)
         rng = self.rng
         trace = self.trace
         t = self.slot
         end = t + count
-
-        U: np.ndarray | None = None  # uniforms for absolute slots [seg_lo, seg_hi)
-        seg_lo = seg_hi = t
-
         while t < end:
             self.slot = t
             # Phases 1-2a: wakes, then scheduled events, due at t.
             if self._next_wake_slot <= t:
                 self._wake_due(t)
-            if self._evt_min <= t:
-                self._events_due(t)
-            active = self._update_active()
-            # State is frozen over [t, bound): no wake or scheduled event
-            # falls strictly inside, so p/evt/keys can only change at a
-            # fire slot (via deliveries).
-            bound = min(self._next_wake_slot, self._evt_min, end)
-            if bound <= t:
-                bound = t + 1  # a node left its event due; re-fires next slot
-            # Uniforms for [t, bound): reuse the buffered segment, draw a
-            # fresh one, or — when nothing can fire — skip the stream.
-            if U is None or t >= seg_hi:
-                m = bound - t
-                if active.size == 0:
-                    # All-passive span: random() < 0.0 never holds, so
-                    # consume the stream without generating.
-                    s = self._stop_at(t, bound, stop_when, check_every)
-                    if s is not None:
-                        rng.skip((s - t) * n)
-                        trace.channel_empty(t, s - t, n)
-                        return True
-                    rng.skip(m * n)
-                    trace.channel_empty(t, m, n)
-                    t = bound
-                    continue
-                m = min(m, _DRAW_CHUNK)
-                buf = self._draw_buf
-                if buf is None:
-                    buf = self._draw_buf = np.empty((_DRAW_CHUNK, n))
-                U = rng.fill(buf[:m])
-                seg_lo, seg_hi = t, t + m
-            lim = min(bound, seg_hi)
-            # A true stop predicate ends the span at its first boundary.
-            s = self._stop_at(t, lim, stop_when, check_every)
-            if s is not None:
-                lim = s
-            # Every (slot, transmitter) pair of [t, lim) under the frozen p.
-            sub = U[t - seg_lo : lim - seg_lo]
-            if active.size == n:
-                rows, senders = np.nonzero(sub < self._p)
+            if vectorized:
+                if self._evt_min <= t:
+                    self._events_due(t)
+                active = self._update_active()
+                # No wake or scheduled event falls inside [t, bound).
+                bound = max(min(self._next_wake_slot, self._evt_min, end), t + 1)
+                idle = active.size == 0 and t >= self._seg_hi
             else:
-                rows, cols = np.nonzero(sub[:, active] < self._pa)
-                senders = active[cols]
+                bound = min(self._due_min, self._next_wake_slot, end)
+                idle = bound > t
+            if idle:
+                # Nothing can transmit before bound (random() < 0.0
+                # never holds; no step is due): record it in bulk.
+                s = self._stop_at(t, bound, stop_when, check_every)
+                lim = bound if s is None else s
+                if vectorized:
+                    rng.skip((lim - t) * n)
+                trace.channel_empty(t, lim - t, n if vectorized else 0)
+                if s is not None:
+                    return True
+                t = lim
+                continue
+            if vectorized:
+                run = self._collect_drawn(t, bound)
+            else:
+                run = self._collect_classic(t, end)
+            # A true stop predicate ends the span at its first boundary.
+            s = self._stop_at(t, run.t1, stop_when, check_every)
+            if s is not None and s < run.t1:
+                self._take_back(s)
+                k = bisect_left(run.slot, s)
+                run = FireRun(
+                    t, s, run.slot[:k], run.sender[:k], run.draws[: s - t],
+                    msgs=run.msgs[:k], nodes=run.nodes, logged=run.logged,
+                )
             self.slot = t
             gen = self._gen
-            if rows.size:
-                lim = self._fire_run(
-                    FireRun(t, lim, rows + t, senders, [n] * (lim - t), nodes=nodes)
-                )
+            if len(run):
+                cut = self._fire_run(run)
+                self._take_back(cut)
+            elif vectorized:
+                cut = run.t1
+                trace.channel_empty(t, cut - t, n)
             else:
-                trace.channel_empty(t, lim - t, n)
-            t = lim
+                cut = run.t1
+                zeros = array("i", bytes(4 * (cut - t)))
+                trace.channels(t, zeros, zeros, zeros, zeros, run.draws, zeros)
+            if due is not None:
+                self._due_min = min(due)
+            t = cut
             if self._stopped(t, gen, s, stop_when, check_every):
                 return True
-            if t >= seg_hi:
-                U = None
         self.slot = end
         return False
 
@@ -711,61 +678,3 @@ class RadioSimulator(SlotSteppedSimulator):
         if self._gen != gen:
             return stop_when(self)
         return s is not None
-
-    def _step_spans(
-        self,
-        count: int,
-        stop_when: Callable[[SlotSteppedSimulator], bool] | None,
-        check_every: int,
-    ) -> bool:
-        """:meth:`step_block` on the event-driven classic route.
-
-        A stretch where nothing is due is recorded in bulk.  A span opens
-        at a slot where nodes are due: :meth:`_collect_classic` takes its
-        steps, the stop predicate is localized over it, and its
-        transmissions are resolved and delivered as one fire run.  A
-        delivery that does not report ``False`` cuts the run after its
-        slot, and the steps taken past the cut are taken back
-        (:meth:`_take_back`) and taken again in the next span."""
-        trace = self.trace
-        due = self._due
-        assert due is not None
-        t = self.slot
-        end = t + count
-        while t < end:
-            self.slot = t
-            if self._next_wake_slot <= t:
-                self._wake_due(t)
-            if self._due_min > t:
-                # Nothing due before the next due step or wake.
-                lim = min(self._due_min, self._next_wake_slot, end)
-                s = self._stop_at(t, lim, stop_when, check_every)
-                trace.channel_empty(t, (lim if s is None else s) - t, 0)
-                if s is not None:
-                    return True
-                t = lim
-                continue
-            run = self._collect_classic(t, end)
-            s = self._stop_at(t, run.t1, stop_when, check_every)
-            if s is not None and s < run.t1:
-                self._take_back(s)
-                k = bisect_left(run.slot, s)
-                run = FireRun(
-                    t, s, run.slot[:k], run.sender[:k], run.draws[: s - t],
-                    msgs=run.msgs[:k], logged=run.logged,
-                )
-            self.slot = t
-            gen = self._gen
-            if len(run):
-                cut = self._fire_run(run)
-                self._take_back(cut)
-            else:
-                cut = run.t1
-                zeros = array("i", bytes(4 * (cut - t)))
-                trace.channels(t, zeros, zeros, zeros, zeros, run.draws, zeros)
-            self._due_min = min(due)
-            t = cut
-            if self._stopped(t, gen, s, stop_when, check_every):
-                return True
-        self.slot = end
-        return False

@@ -43,7 +43,9 @@ engages only when every node has ``tx_prob``:
 The engine caches the send probability, the event slot and the keys of
 every node and re-reads them after wakes, events and deliveries; all
 fire slots drawn under one cached state are resolved together, and the
-run is cut after the first slot whose deliveries change it.
+run is cut after the first slot whose deliveries change it.  A caller
+that changes a node between steps has the engine re-read it through
+:meth:`~repro.radio.engine.RadioSimulator.refresh`.
 
 Event-driven classic stepping
 -----------------------------
@@ -71,19 +73,21 @@ engages only when every node has ``next_step_slot``:
   the node restores ``before`` only where it still holds ``after``;
   the engine never writes node fields itself.
 
-Block-stepped (``run(..., block > 1)``), the route works in *spans*.  A
-span opens at a slot where nodes are due; wakes and scheduled events
-step only there.  It ends at the next wake, the next
-``next_event_slot()`` of any node, the chunk end or a fixed cap, and
-every step due inside it is taken, in (slot, roster) order, before any
-delivery of the span (only its due slot is re-read after such a step);
-its transmissions are then resolved and delivered as one fire run.  A
-delivery that does not report ``False`` cuts the run after its slot:
-every step taken at a later slot is taken back (the protocol stream
-rewound, each schedule handed back through ``unstep``, newest first)
-and taken again in the next span.  So ``deliver`` returns ``False``
-only if it left ``next_step_slot``, ``next_event_slot()``, the keys
-and every step before the next event as they were.
+The route works in *spans*, like the vectorized one and through the
+same loop (:meth:`~repro.radio.engine.RadioSimulator.step_block`; a
+per-slot ``step()`` is a span of one slot).  A span opens at a slot
+where nodes are due; wakes and scheduled events step only there.  It
+ends at the next wake, the next ``next_event_slot()`` of any node, the
+chunk end or a fixed cap, and every step due inside it is taken, in
+(slot, roster) order, before any delivery of the span (only its due
+slot is re-read after such a step); its transmissions are then
+resolved and delivered as one fire run.  A delivery that does not
+report ``False`` cuts the run after its slot: every step taken at a
+later slot is taken back (the protocol stream rewound, each schedule
+handed back through ``unstep``, newest first) and taken again in the
+next span.  So ``deliver`` returns ``False`` only if it left
+``next_step_slot``, ``next_event_slot()``, the keys and every step
+before the next event as they were.
 """
 
 from __future__ import annotations

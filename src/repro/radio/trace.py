@@ -175,6 +175,8 @@ class TraceRecorder:
     """
 
     def __init__(self, n: int, level: int = 1) -> None:
+        if level not in (0, 1, 2):
+            raise ValueError(f"trace_level must be 0, 1 or 2, got {level!r}")
         self.n = int(n)
         self.level = int(level)
         self.events: list[TraceEvent] = []

@@ -118,19 +118,8 @@ class UnalignedRadioSimulator(SlotSteppedSimulator):
         loss_prob: float = 0.0,
         offsets: np.ndarray | None = None,
     ) -> None:
+        self._set_population(deployment, nodes, wake_slots)
         n = deployment.n
-        if len(nodes) != n:
-            raise ValueError(f"{len(nodes)} nodes for {n}-node deployment")
-        self.deployment = deployment
-        self.nodes = list(nodes)
-        for vid, node in enumerate(self.nodes):
-            if node.vid != vid:
-                raise ValueError(f"node at index {vid} has vid {node.vid}")
-        self.wake_slots = np.asarray(wake_slots, dtype=np.int64)
-        if self.wake_slots.shape != (n,):
-            raise ValueError(f"wake_slots must have shape ({n},)")
-        if n and self.wake_slots.min() < 0:
-            raise ValueError("wake slots must be non-negative")
         self.rng = rng if isinstance(rng, RngMeter) else RngMeter(rng)
         self.trace = trace if trace is not None else TraceRecorder(n)
         self.max_message_bits = max_message_bits

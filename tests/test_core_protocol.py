@@ -89,6 +89,25 @@ class TestBasicCorrectness:
             run_coloring(from_graph(nx.empty_graph(0)), seed=0)
 
 
+class TestBadInputs:
+    """Each bad argument fails with a ``ValueError`` that names it."""
+
+    def test_unknown_trace_level(self):
+        with pytest.raises(ValueError, match="trace_level"):
+            run_coloring(ring_deployment(6), seed=0, trace_level=7)
+
+    def test_negative_max_slots(self):
+        with pytest.raises(ValueError, match="max_slots"):
+            run_coloring(ring_deployment(6), seed=0, max_slots=-1)
+
+    def test_fractional_wake_slot(self):
+        wake = np.array([0.5, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="wake_slots"):
+            run_coloring(ring_deployment(6), wake_slots=wake, seed=0)
+        with pytest.raises(ValueError, match="wake_slots"):
+            run_coloring(ring_deployment(6), wake_slots=wake, seed=0, unaligned=True)
+
+
 class TestStructuralProperties:
     """Structure the analysis proves for every successful run."""
 

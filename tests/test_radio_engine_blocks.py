@@ -1,15 +1,18 @@
-"""Block-stepped fast path: identity with per-slot stepping.
+"""Block-stepped execution: identity at every block size.
 
-The block-stepped mode (``run(..., block=B)`` on the vectorized engine
-path) promises *byte-identical trajectories* at any block size: the
-segment draws ``rng.random((m, n))`` consume the PCG64 stream exactly
-like ``m`` sequential per-slot draws, and all-passive spans advance the
-stream via :meth:`~repro._util.RngMeter.skip` instead of generating.
-These tests check that promise the direct way — run the same seeded
-world both ways and demand equality of every observable: slot counts,
-early-stop behaviour, all six channel-metric columns slot-for-slot,
-per-node trace counters, the event list of the trace level, and final
-colors.
+Both event-driven engine routes run one span loop (``step_block``;
+``step()`` is a span of one slot), which promises *byte-identical
+trajectories* at any block size: the segment draws ``rng.random((m,
+n))`` consume the PCG64 stream exactly like ``m`` sequential per-slot
+draws, and all-passive spans advance the stream via
+:meth:`~repro._util.RngMeter.skip` instead of generating.  These tests
+run the same seeded world at ``block=1`` and at other block sizes and
+demand equality of every observable: slot counts, early-stop
+behaviour, all six channel-metric columns slot-for-slot, per-node trace
+counters, the event list of the trace level, and final colors.  The
+references sharing no span code are the ``StepShimNode`` lockstep
+(``tests/test_conform.py``) and the ``next_step_slot``-less population
+of ``tests/test_radio_engine_events.py``.
 
 The conformance matrix (``repro conform --matrix``) pins specific
 scenarios; the Hypothesis property here walks random deployments, wake
@@ -29,10 +32,10 @@ from hypothesis import strategies as st
 from repro._util import RngMeter
 from repro.core import BernoulliColoringNode, ColoringNode, Parameters, run_coloring
 from repro.core.protocol import build_simulator
-from repro.graphs import random_udg
+from repro.graphs import random_udg, ring_deployment
 from repro.radio import CounterMessage, TraceRecorder
 from repro.radio.channel import ChannelCore, CollisionPhy, MultiChannelPhy
-from repro.radio.engine import RadioSimulator
+from repro.radio.engine import _DRAW_BYTES, _DRAW_CHUNK, RadioSimulator
 from repro.wakeup import uniform_random
 
 BLOCK_SIZES = (1, 2, 3, 7, 17, 64, 1_000_000)
@@ -162,6 +165,22 @@ def test_blocked_stop_is_localized_to_check_boundary():
         assert per_slot[2].stopped_early and blocked[2].stopped_early
 
 
+def test_stepping_on_past_a_stop_keeps_the_trajectory():
+    """A blocked run that stops inside a segment leaves the generator
+    past the segment's rows; stepping on is served those rows first, so
+    it goes on exactly like the per-slot run stepped on the same way."""
+    dep, params, wake = _world(10, 4.0, 21, 22, 30)
+    runs = []
+    for block in (1, 512):
+        sim, nodes, res = _run(dep, params, wake, seed=9, block=block,
+                               max_slots=30_000, check_every=16, stop=True)
+        assert res.stopped_early
+        sim.run(res.slots + 300, block=block)
+        runs.append((sim, nodes, res))
+    _assert_identical(*runs)
+    assert runs[0][0].rng.draws == runs[1][0].rng.draws
+
+
 def test_blocked_metrics_are_slot_exact_without_stop():
     """Fixed horizon, no stop predicate: the bulk empty-run appends must
     produce one metrics row per slot, not aggregates."""
@@ -221,16 +240,17 @@ def _work_inputs(shape):
 #: spans, stream skips and calls on the protocol stream, and the
 #: Python-level calls of each layer.  A blocked run resolves and
 #: delivers every fire slot taken under one state in one call; its
-#: ``block=1`` twin does the same work slot by slot and must end in the
-#: same place.  On the classic ``e1-sweep`` input the blocked run steps
-#: more often than its twin: steps taken past a cut are taken back and
-#: taken again.
+#: ``block=1`` twin takes spans of one slot (an empty slot is a bulk
+#: record of one slot, and an all-passive one a stream skip) and must
+#: end in the same place.  On the classic ``e1-sweep`` input the blocked
+#: run steps more often than its twin: steps taken past a cut are taken
+#: back and taken again.
 WORK_PINS = {
     "sync-contended": {
         4096: dict(slots=49229, fire_slots=19859, channel_empty=6, skip=1,
                    rng_calls=436, step=0, deliver=10437, refresh=371, emit=2019,
                    resolve=508, core_deliver=508),
-        1: dict(slots=49229, fire_slots=19859, channel_empty=0, skip=0,
+        1: dict(slots=49229, fire_slots=19859, channel_empty=29370, skip=3453,
                 rng_calls=49229, step=0, deliver=10437, refresh=371, emit=2019,
                 resolve=19859, core_deliver=19859),
     },
@@ -238,7 +258,7 @@ WORK_PINS = {
         4096: dict(slots=44346, fire_slots=13012, channel_empty=41, skip=94,
                    rng_calls=396, step=0, deliver=3405, refresh=204, emit=1564,
                    resolve=423, core_deliver=423),
-        1: dict(slots=44346, fire_slots=13012, channel_empty=0, skip=0,
+        1: dict(slots=44346, fire_slots=13012, channel_empty=31334, skip=4121,
                 rng_calls=44346, step=0, deliver=3405, refresh=204, emit=1564,
                 resolve=13012, core_deliver=13012),
     },
@@ -246,7 +266,7 @@ WORK_PINS = {
         4096: dict(slots=11361, fire_slots=6734, channel_empty=45, skip=0,
                    rng_calls=11585, step=16025, deliver=6352, refresh=0, emit=0,
                    resolve=202, core_deliver=202),
-        1: dict(slots=11361, fire_slots=6734, channel_empty=0, skip=0,
+        1: dict(slots=11361, fire_slots=6734, channel_empty=4602, skip=0,
                 rng_calls=11585, step=11608, deliver=6352, refresh=0, emit=0,
                 resolve=6734, core_deliver=6734),
     },
@@ -343,3 +363,16 @@ def test_message_bits_checked_at_the_same_transmission_at_any_block():
                 sim.run(5000, block=block)
             errors.append(str(err.value))
         assert errors == [errors[0]] * 3, node_cls.__name__
+
+
+
+def test_segment_buffer_is_capped_in_bytes():
+    """The segment buffer holds ``_DRAW_CHUNK`` rows up to n = 2048 and
+    at most ``_DRAW_BYTES`` beyond (a 128-row buffer would be 20 MB at
+    n = 20,000)."""
+    for n, rows in ((1600, _DRAW_CHUNK), (20_000, 13)):
+        dep = ring_deployment(n)
+        sim, _ = build_simulator(dep, Parameters.practical(n, 2, 2, 3), seed=1,
+                                 node_cls=BernoulliColoringNode, trace_level=0)
+        assert sim._draw_buf.shape == (rows, n)
+        assert sim._draw_buf.nbytes <= _DRAW_BYTES
