@@ -11,6 +11,8 @@ end-to-end timing claims come from ``bench/``.
 
 import time
 
+import pytest
+
 from repro.core import Parameters, run_coloring
 from repro.core.protocol import build_simulator
 from repro.graphs import random_udg
@@ -41,12 +43,28 @@ def test_full_coloring_run(benchmark):
     assert result.completed
 
 
-def test_kappa_computation(benchmark):
-    """Exact kappa_1/kappa_2 measurement cost (branch-and-bound MIS)."""
-    from repro.graphs import kappas
+@pytest.mark.parametrize("layer", ["kappas", "for_deployment"])
+def test_kappa_computation(benchmark, layer):
+    """Exact kappa_1/kappa_2 measurement cost: a branch-and-bound MIS per
+    neighborhood over bitmasks read from the deployment's CSR rows, pruned
+    by the greedy clique-cover bound.  ``kappas`` times the search on a
+    150-node UDG; ``for_deployment`` times the whole parameter layer
+    (neighbor CSR, 2-hop CSR, exact kappa) on fresh copies of an
+    ``e1-sweep``-shaped input, as the ``bench/`` harness pays it once per
+    input."""
+    from repro.graphs import Deployment, kappas
 
-    dep = random_udg(150, expected_degree=14, seed=9, connected=True)
-    k1, k2 = benchmark(lambda: kappas(dep))
+    if layer == "kappas":
+        dep = random_udg(150, expected_degree=14, seed=9, connected=True)
+        k1, k2 = benchmark(lambda: kappas(dep))
+    else:
+        dep = random_udg(60, expected_degree=14, seed=5, connected=True)
+
+        def fresh():
+            return (Deployment(dep.graph, dep.positions, dep.kind, dep.meta),), {}
+
+        params = benchmark.pedantic(Parameters.for_deployment, setup=fresh, rounds=50)
+        k1, k2 = params.kappa1, params.kappa2
     assert 1 <= k1 <= 5 and k1 <= k2 <= 18
 
 

@@ -31,6 +31,7 @@ Derived quantities follow the pseudocode exactly:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -150,17 +151,27 @@ class Parameters:
         **kwargs: float,
     ) -> "Parameters":
         """Derive parameters from a deployment by measuring ``Delta`` and
-        the exact ``kappa`` values (clamped to the protocol minimums)."""
+        the exact ``kappa`` values (clamped to the protocol minimums).
+
+        ``regime`` and ``kwargs`` are checked before ``kappa`` is measured:
+        an unknown regime, or a keyword argument its constructor does not
+        take, raises :class:`ValueError`."""
         from repro.graphs.independence import kappas
 
+        factory = {"practical": cls.practical, "theoretical": cls.theoretical}.get(regime)
+        if factory is None:
+            raise ValueError(f"unknown regime {regime!r}")
+        options = inspect.signature(factory).parameters.values()
+        unknown = sorted(set(kwargs) - {p.name for p in options if p.kind is p.KEYWORD_ONLY})
+        if unknown:
+            raise ValueError(
+                f"regime {regime!r} takes no keyword argument {', '.join(map(repr, unknown))}"
+            )
         k1, k2 = kappas(dep)
         k2 = max(2, k2)
         k1 = max(1, min(k1, k2))
         n = max(2, dep.n)
         delta = max(2, dep.max_degree)
-        factory = {"practical": cls.practical, "theoretical": cls.theoretical}.get(regime)
-        if factory is None:
-            raise ValueError(f"unknown regime {regime!r}")
         return factory(n, delta, k1, k2, **kwargs)
 
     def with_overrides(self, **kwargs: float) -> "Parameters":

@@ -16,6 +16,7 @@ from typing import Any
 
 import networkx as nx
 import numpy as np
+from scipy import sparse
 
 __all__ = ["Deployment", "csr_arrays"]
 
@@ -24,9 +25,7 @@ def csr_arrays(lists: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, np.ndar
     """Flatten per-node index lists into CSR-style ``(indptr, indices)``
     arrays: row ``v``'s entries are ``indices[indptr[v]:indptr[v+1]]``.
 
-    The one source of truth for list-of-arrays -> CSR construction:
-    :attr:`Deployment.csr` applies it to a deployment's neighbor arrays,
-    and :mod:`repro.radio.batch` to its two-hop adjacency."""
+    :attr:`Deployment.csr` applies it to a deployment's neighbor arrays."""
     indptr = np.zeros(n + 1, dtype=np.int64)
     if n:
         indptr[1:] = np.cumsum([len(a) for a in lists])
@@ -64,6 +63,9 @@ class Deployment:
         default=None, init=False, repr=False, compare=False
     )
     _two_hop: list[np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _two_hop_csr: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _csr: tuple[np.ndarray, np.ndarray] | None = field(
@@ -148,18 +150,38 @@ class Deployment:
         return np.sort(np.append(self.neighbors[v], v))
 
     @property
+    def two_hop_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 2-hop closed neighborhoods ``N_v^2`` (distance <= 2,
+        including ``v``) as CSR-style ``(indptr, indices)`` arrays, cached:
+        row ``v`` is ``N_v^2`` in ascending order.
+
+        Built from one sparse product, the pattern of ``(A + I)^2`` over
+        :attr:`csr`.  Both arrays are read-only: :attr:`two_hop` hands out
+        views into ``indices``.
+        """
+        if self._two_hop_csr is None:
+            n = self.n
+            indptr, indices = self.csr
+            closed = sparse.csr_matrix(
+                (np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n)
+            ) + sparse.identity(n, dtype=bool, format="csr")
+            reach = closed @ closed
+            reach.sort_indices()
+            ptr = reach.indptr.astype(np.int64)
+            ids = reach.indices.astype(np.int64)
+            ptr.flags.writeable = ids.flags.writeable = False
+            self._two_hop_csr = ptr, ids
+        return self._two_hop_csr
+
+    @property
     def two_hop(self) -> list[np.ndarray]:
         """Per-node 2-hop closed neighborhoods ``N_v^2`` (distance <= 2,
-        including ``v``), cached."""
+        including ``v``), sorted, cached: read-only views into
+        :attr:`two_hop_csr`'s ``indices``."""
         if self._two_hop is None:
-            out: list[np.ndarray] = []
-            nbrs = self.neighbors
-            for v in range(self.n):
-                acc = {v, *nbrs[v].tolist()}
-                for u in nbrs[v]:
-                    acc.update(nbrs[u].tolist())
-                out.append(np.fromiter(sorted(acc), dtype=np.int64))
-            self._two_hop = out
+            indptr, indices = self.two_hop_csr
+            ptr = indptr.tolist()
+            self._two_hop = [indices[a:b] for a, b in zip(ptr, ptr[1:])]
         return self._two_hop
 
     # ------------------------------------------------------------------

@@ -26,13 +26,12 @@ transmission matrices (``tests/test_radio_batch.py``).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from repro.graphs.deployment import Deployment, csr_arrays
+from repro.graphs.deployment import Deployment
 from repro._util import spawn_generator
 
 __all__ = [
@@ -43,26 +42,20 @@ __all__ = [
 ]
 
 
-def _csr_from_lists(lists: Sequence[np.ndarray], n: int) -> sparse.csr_matrix:
-    """0/1 CSR matrix whose row ``v`` marks ``lists[v]`` — built directly
-    from the shared CSR arrays (:func:`~repro.graphs.deployment.
-    csr_arrays`), one source of truth for adjacency layout and no Python
-    double-loop over edges."""
-    indptr, indices = csr_arrays(lists, n)
+def _indicator(csr: tuple[np.ndarray, np.ndarray], n: int) -> sparse.csr_matrix:
+    """0/1 CSR matrix over a deployment-cached ``(indptr, indices)`` pair
+    (the structure every PHY bind shares), not re-flattened per call."""
+    indptr, indices = csr
     data = np.ones(len(indices), dtype=np.int64)
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _adjacency(dep: Deployment) -> sparse.csr_matrix:
-    # Reuse the deployment-cached CSR (the structure every PHY bind
-    # shares) instead of re-flattening the per-node neighbor lists.
-    indptr, indices = dep.csr
-    data = np.ones(len(indices), dtype=np.int64)
-    return sparse.csr_matrix((data, indices, indptr), shape=(dep.n, dep.n))
+    return _indicator(dep.csr, dep.n)
 
 
 def _closed_two_hop(dep: Deployment) -> sparse.csr_matrix:
-    return _csr_from_lists(dep.two_hop, dep.n)
+    return _indicator(dep.two_hop_csr, dep.n)
 
 
 @dataclass

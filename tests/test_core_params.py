@@ -107,6 +107,25 @@ class TestForDeployment:
         with pytest.raises(ValueError, match="regime"):
             Parameters.for_deployment(dep, regime="mystical")
 
+    def test_bad_regime_fails_before_kappa_is_measured(self, monkeypatch):
+        # Exact kappa can take long on a dense deployment: a bad regime or
+        # a keyword its constructor does not take must fail first.
+        from repro.graphs import independence
+
+        def no_search(dep):
+            raise RuntimeError("kappa measured before the arguments were checked")
+
+        monkeypatch.setattr(independence, "kappas", no_search)
+        dep = random_udg(10, side=3.0, seed=4)
+        with pytest.raises(ValueError, match="unknown regime 'mystical'"):
+            Parameters.for_deployment(dep, regime="mystical")
+        with pytest.raises(ValueError, match="'theoretical' takes no keyword argument 'scale'"):
+            Parameters.for_deployment(dep, regime="theoretical", scale=2.0)
+        with pytest.raises(ValueError, match="'practical' takes no keyword argument 'gamma'"):
+            Parameters.for_deployment(dep, gamma=1.0)
+        with pytest.raises(RuntimeError, match="kappa measured"):
+            Parameters.for_deployment(dep, scale=2.0)
+
     def test_overrides(self):
         p = practical()
         q = p.with_overrides(gamma=p.gamma, sigma=p.sigma * 2)

@@ -3,8 +3,29 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.graphs import Deployment, from_graph, ring_deployment
+from repro.graphs import (
+    Deployment,
+    from_graph,
+    quasi_udg,
+    random_udg,
+    ring_deployment,
+    star_deployment,
+)
+
+
+def _two_hop_by_sets(dep):
+    """``N_v^2`` by definition, one Python set per node: ``v``, its
+    neighbors and theirs, read from the networkx graph."""
+    out = []
+    for v in range(dep.n):
+        acc = {v, *dep.graph.neighbors(v)}
+        for u in dep.graph.neighbors(v):
+            acc.update(dep.graph.neighbors(u))
+        out.append(sorted(acc))
+    return out
 
 
 class TestConstruction:
@@ -57,6 +78,23 @@ class TestNeighborhoods:
     def test_two_hop_small_ring_saturates(self):
         dep = ring_deployment(4)
         assert dep.two_hop[0].tolist() == [0, 1, 2, 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["udg", "quasi", "ring", "star"]), st.integers(3, 70), st.integers(0, 10**6))
+    def test_two_hop_matches_set_definition(self, kind, n, seed):
+        if kind == "udg":
+            dep = random_udg(n, expected_degree=2 + seed % 12, seed=seed)
+        elif kind == "quasi":
+            dep = quasi_udg(n, 1.0, 1.6, side=float(np.sqrt(n * np.pi / 6)), seed=seed)
+        elif kind == "ring":
+            dep = ring_deployment(n)
+        else:
+            dep = star_deployment(n)
+        assert [h.tolist() for h in dep.two_hop] == _two_hop_by_sets(dep)
+        # One read-only int64 index array, shared by every node's view.
+        indptr, indices = dep.two_hop_csr
+        assert indices.dtype == np.int64 and not indices.flags.writeable
+        assert all(np.shares_memory(h, indices) for h in dep.two_hop)
 
 
 class TestConvenience:

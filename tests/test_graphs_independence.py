@@ -52,7 +52,7 @@ class TestExactMis:
         assert max_independent_set_size(nx.gnp_random_graph(8, 0.6, seed=6)) == 3
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 12), st.floats(0.1, 0.9), st.integers(0, 10**6), st.integers(0, 12))
+    @given(st.integers(1, 16), st.floats(0.05, 0.95), st.integers(0, 10**6), st.integers(0, 16))
     def test_matches_networkx_bruteforce(self, n, p, seed, floor):
         g = nx.gnp_random_graph(n, p, seed=seed)
         best = _bruteforce_mis(g, list(g.nodes))
@@ -101,6 +101,11 @@ class TestKappas:
             k1, k2 = kappas(dep)
             assert k1 <= UDG_KAPPA1
             assert k2 <= UDG_KAPPA2
+
+    def test_dense_udg_pin(self):
+        # 2-hop neighborhoods of about a hundred nodes: the search finishes
+        # in well under a second only if the clique-cover bound prunes.
+        assert kappas(random_udg(1000, expected_degree=24, seed=1)) == (5, 13)
 
     def test_greedy_mode_runs(self):
         dep = random_udg(60, expected_degree=8, seed=1)
