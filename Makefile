@@ -31,11 +31,12 @@ staticcheck:
 typecheck:
 	mypy -p repro
 
-# Dual-path conformance: the quick scenario matrix plus a short seeded
-# fuzz (<= 30s wall clock total).  Exits nonzero with a slot/node-level
-# divergence report if the compatibility and vectorized engine paths
-# ever disagree.  The same scenarios run inside tier-1 pytest as the
-# `conform`-marked smoke subset (`pytest -m conform`).
+# Route conformance: the quick scenario matrix plus a short seeded fuzz
+# (<= 30s wall clock total).  Exits nonzero with a slot/node-level
+# divergence report if an engine route ever disagrees with the per-slot
+# loop over the same node population.  The same scenarios run inside
+# tier-1 pytest as the `conform`-marked smoke subset (`pytest -m
+# conform`); the full wall is `python -m repro conform` (~1 min).
 conform:
 	PYTHONPATH=src python -m repro conform --quick --fuzz 64 --budget 20
 

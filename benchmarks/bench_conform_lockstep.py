@@ -1,20 +1,21 @@
 """Benchmarks for the differential conformance harness.
 
-Lockstep execution is a dual simulation with level-2 tracing on both
-sides, so it is intrinsically slower than a plain run — but it has to
-stay cheap enough that ``make conform``'s matrix-plus-fuzz budget is a
-pre-merge habit rather than a nightly job.  These benchmarks track the
+Lockstep execution runs a route and its per-slot reference with level-2
+tracing on both sides, so it is intrinsically slower than a plain run —
+but it has to stay cheap enough that ``make conform``'s
+matrix-plus-fuzz budget is a pre-merge habit rather than a nightly job.  These benchmarks track the
 harness's own overhead and gate the quick matrix under a wall-clock
 ceiling.
 """
 
 import time
 
-from repro.conform import SCENARIO_MATRIX, fuzz, quick_matrix, run_scenario
+from repro.conform import SCENARIO_MATRIX, fuzz, quick_matrix, run_cells, run_scenario
 
 
 def test_single_lockstep_scenario(benchmark):
-    """One mid-size matrix cell: dual engines + localization per slot."""
+    """One mid-size matrix cell: route and reference + localization per
+    slot."""
     report = benchmark.pedantic(
         lambda: run_scenario(SCENARIO_MATRIX[0]), rounds=1, iterations=1
     )
@@ -27,7 +28,7 @@ def test_quick_matrix_under_budget(benchmark):
 
     def run_quick():
         t0 = time.perf_counter()
-        reports = [run_scenario(s) for s in quick_matrix()]
+        reports = [r for s in quick_matrix() for r in run_cells(s)]
         return reports, time.perf_counter() - t0
 
     reports, elapsed = benchmark.pedantic(run_quick, rounds=1, iterations=1)

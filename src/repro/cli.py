@@ -11,10 +11,10 @@ Commands
 ``kappa``
     Measure kappa_1/kappa_2 of a generated deployment.
 ``conform``
-    Run the dual-path conformance harness: the pinned scenario matrix,
-    optional budgeted fuzzing, or a single replayed scenario.  Exits
-    nonzero with a slot/node-level divergence report if the engine's
-    compatibility and vectorized paths ever disagree.
+    Run the conformance harness: the pinned scenario matrices, optional
+    budgeted fuzzing, or a single replayed scenario.  Exits nonzero with
+    a slot/node-level divergence report if an engine route ever
+    disagrees with its per-slot reference.
 ``staticcheck``
     Run the determinism-contract static analyzer (rules RPR001-RPR005)
     over ``src/repro`` against the pinned baseline.  Exits nonzero with
@@ -164,8 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     conform = sub.add_parser(
         "conform",
-        help="dual-path conformance: lockstep-compare the engine's "
-        "compatibility and vectorized paths",
+        help="conformance: lockstep-compare each engine route with its "
+        "per-slot reference",
     )
     conform.add_argument(
         "--quick", action="store_true",
@@ -190,13 +190,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     conform.add_argument(
         "--inject-bug", action="store_true",
-        help="swap a deliberately broken node class into the vectorized "
-        "side (harness self-test; must exit nonzero with a slot/node "
+        help="run each population's route on a deliberately broken node "
+        "class (harness self-test; must exit nonzero with a slot/node "
         "report)",
     )
     conform.add_argument(
         "--metrics", action="store_true",
-        help="print per-path channel-metric totals for every scenario",
+        help="print the reference's and the route's channel-metric "
+        "totals for every cell",
     )
     # Single-scenario replay — exactly the flags a divergence report
     # prints after "replay:".
@@ -213,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--phy", choices=("collision", "multichannel", "sinr", "unaligned"),
         default="collision",
         help="channel model under comparison: the default collision PHY, "
-        "a multi-channel or SINR PHY on both engine paths, or the "
+        "a multi-channel or SINR PHY under both sides, or the "
         "unaligned simulator against the aligned engine",
     )
     conform.add_argument(
@@ -232,10 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     conform.add_argument(
         "--block", type=int, default=0, metavar="B",
-        help="compare the engine's block-stepped mode (step_block with "
-        "blocks of B slots) against its one-slot stepping, once on the "
-        "vectorized and once on the classic node population, instead of "
-        "the classic-vs-vectorized comparison (0 = off)",
+        help="block size the routes run at (step_block chunks of B "
+        "slots) against the per-slot reference (0 = run_coloring's "
+        "default, 4096)",
     )
 
     staticcheck = sub.add_parser(
@@ -365,6 +365,7 @@ def _render_metrics(metrics) -> str:
 def _cmd_conform(args) -> int:
     from repro.conform import (
         SCENARIO_MATRIX,
+        LateStepNode,
         OffByOneCounterNode,
         Scenario,
         arena_matrix,
@@ -374,39 +375,44 @@ def _cmd_conform(args) -> int:
         quick_matrix,
         run_cells,
         run_matrix,
-        run_scenario,
     )
 
-    broken = OffByOneCounterNode if args.inject_bug else None
+    if args.fuzz > 0 and args.budget <= 0:
+        print(f"--budget must be positive, got {args.budget:g}", file=sys.stderr)
+        return 2
+    # One broken route class per node population (batched, classic).
+    broken = (OffByOneCounterNode, LateStepNode) if args.inject_bug else None
 
     if args.family is not None:
         # Single-scenario replay (the command a divergence report prints).
-        scenario = Scenario(
-            family=args.family,
-            n=args.n,
-            degree=args.degree,
-            schedule=args.schedule,
-            loss_prob=args.loss,
-            seed=args.seed,
-            param_scale=args.param_scale,
-            phy=args.phy,
-            channels=args.channels,
-            block=args.block,
-            protocol=args.protocol,
-        )
-        reports = run_cells(
-            scenario, max_slots=args.max_slots, vectorized_node_cls=broken
-        )
+        try:
+            scenario = Scenario(
+                family=args.family,
+                n=args.n,
+                degree=args.degree,
+                schedule=args.schedule,
+                loss_prob=args.loss,
+                seed=args.seed,
+                param_scale=args.param_scale,
+                phy=args.phy,
+                channels=args.channels,
+                block=args.block,
+                protocol=args.protocol,
+            )
+            reports = run_cells(
+                scenario, max_slots=args.max_slots, node_classes=broken
+            )
+        except ValueError as exc:
+            # Invalid scenario flags (--n 0, --loss 1.5, --block with
+            # --phy unaligned, ...) surface as ValueError naming them.
+            print(str(exc), file=sys.stderr)
+            return 2
     else:
         if args.arena:
             # The focused pinned matrix for the protocol x PHY arena.
             matrix = arena_matrix()
         elif args.quick:
             matrix = quick_matrix()
-        elif broken is not None:
-            # Broken node classes only plug into the dual-engine lockstep;
-            # keep the self-test on the default-PHY matrix.
-            matrix = SCENARIO_MATRIX
         else:
             matrix = (
                 SCENARIO_MATRIX
@@ -414,20 +420,14 @@ def _cmd_conform(args) -> int:
                 + block_matrix()
                 + arena_matrix()
             )
-        if broken is not None:
-            # The broken class must reach run_lockstep, so run serially.
-            reports = [
-                run_scenario(s, vectorized_node_cls=broken) for s in matrix
-            ]
-        else:
-            reports = run_matrix(matrix, workers=args.workers)
+        reports = run_matrix(matrix, workers=args.workers, node_classes=broken)
 
     for report in reports:
         print(report.describe())
         if args.metrics:
             print(
-                f"     classic:    {report.classic_totals}\n"
-                f"     vectorized: {report.vectorized_totals}"
+                f"     reference: {report.reference_totals}\n"
+                f"     route:     {report.route_totals}"
             )
     ok = all(r.ok for r in reports)
 
@@ -438,7 +438,7 @@ def _cmd_conform(args) -> int:
 
     failed = sum(1 for r in reports if not r.ok)
     print(
-        f"conformance: {len(reports) - failed}/{len(reports)} scenarios conform"
+        f"conformance: {len(reports) - failed}/{len(reports)} cells conform"
         + ("" if ok else " -- DIVERGENCE")
     )
     return 0 if ok else 1

@@ -1,13 +1,14 @@
-"""Divergence localization: turn "the paths differ" into slot/node/field.
+"""Divergence localization: turn "the sides differ" into slot/node/field.
 
-The lockstep harness compares the two execution paths' traces slot by
-slot.  When a slot disagrees, :func:`localize_slot` pins the *first*
-divergent (node, event-kind, field) triple — in the canonical ascending
-node order the engine guarantees — and packages it with the scenario
-into a :class:`Divergence`: a self-contained, minimized reproducer (the
-scenario record replays the exact run, and ``max_slots`` is trimmed to
-the divergent slot, so the reproduction stops right where the bug
-manifests instead of simulating thousands of post-divergence slots).
+The lockstep harness compares a route's trace with its per-slot
+reference's, slot by slot.  When a slot disagrees, :func:`localize_slot`
+pins the *first* divergent (node, event-kind, field) triple — in the
+canonical ascending node order the engine guarantees — and packages it
+with the scenario into a :class:`Divergence`: a self-contained,
+minimized reproducer (the scenario record replays the exact run, and
+``max_slots`` is trimmed to the divergent slot, so the reproduction
+stops right where the bug manifests instead of simulating thousands of
+post-divergence slots).
 """
 
 from __future__ import annotations
@@ -53,20 +54,21 @@ def canonical_slot_events(
 
 @dataclass(frozen=True)
 class Divergence:
-    """First point where the two execution paths disagree.
+    """First point where a route and its per-slot reference disagree.
 
     ``field`` names what diverged: an event kind (``"tx"``, ``"rx"``,
     ``"collision"``, ``"decide"``, ...) optionally suffixed with the
-    payload key (``"tx.counter"``), or a terminal check
-    (``"final.colors"``, ``"completed"``).  ``classic`` / ``vectorized``
-    carry each path's value (``None`` = the path had no such event).
+    payload key (``"tx.msg"``), a metric column (``"metrics.rx"``), or a
+    terminal check (``"final.colors"``, ``"completed"``).
+    ``reference`` / ``route`` carry each side's value (``None`` = the
+    side had no such event).
     """
 
     slot: int
     node: int | None
     field: str
-    classic: Any
-    vectorized: Any
+    reference: Any
+    route: Any
     scenario: "Scenario | None" = None
 
     def reproducer(self) -> dict[str, Any]:
@@ -86,8 +88,8 @@ class Divergence:
             where += f", node {self.node}"
         lines = [
             f"DIVERGENCE at {where}: field {self.field!r}",
-            f"  compatibility path: {self.classic!r}",
-            f"  vectorized path:    {self.vectorized!r}",
+            f"  per-slot reference: {self.reference!r}",
+            f"  route:              {self.route!r}",
         ]
         if self.scenario is not None:
             lines.append(f"  scenario: {self.scenario.label()}")
@@ -100,8 +102,8 @@ class Divergence:
 
 def localize_slot(
     slot: int,
-    classic_events: list[TraceEvent],
-    vectorized_events: list[TraceEvent],
+    reference_events: list[TraceEvent],
+    route_events: list[TraceEvent],
     scenario: "Scenario | None" = None,
 ) -> Divergence | None:
     """First (node, kind, field) where one slot's canonical events differ.
@@ -110,8 +112,10 @@ def localize_slot(
     divergent ``(node, kind)`` key — deterministic, so a given bug
     always localizes to the same report.
     """
-    a = canonical_slot_events(classic_events)
-    b = canonical_slot_events(vectorized_events)
+    if reference_events == route_events:
+        return None  # the common case: same events in the same order
+    a = canonical_slot_events(reference_events)
+    b = canonical_slot_events(route_events)
     if a == b:
         return None
     for key in sorted(set(a) | set(b)):
@@ -134,8 +138,8 @@ def localize_slot(
             slot=slot,
             node=node,
             field=fld,
-            classic=va,
-            vectorized=vb,
+            reference=va,
+            route=vb,
             scenario=scenario,
         )
     raise AssertionError("canonical maps differ but no divergent key found")
@@ -148,14 +152,14 @@ class ConformanceReport:
     scenario: "Scenario | None"
     ok: bool
     slots: int  #: lockstep slots executed
-    completed: bool  #: both paths colored every node within the budget
+    completed: bool  #: both sides finished the protocol within the budget
     divergence: Divergence | None = None
-    #: per-path channel totals (tx/rx/collisions/lost/..., from the
+    #: per-side channel totals (tx/rx/collisions/lost/..., from the
     #: always-on metrics) — the counters-first summary.
-    classic_totals: dict[str, int] = field(default_factory=dict)
-    vectorized_totals: dict[str, int] = field(default_factory=dict)
-    #: the node class both sides of a block lockstep ran (a block cell
-    #: runs once per population); empty for the other comparisons.
+    reference_totals: dict[str, int] = field(default_factory=dict)
+    route_totals: dict[str, int] = field(default_factory=dict)
+    #: the node class the route ran (an aligned scenario runs once per
+    #: population); empty for the unaligned comparison.
     population: str = ""
 
     def describe(self) -> str:
@@ -165,7 +169,7 @@ class ConformanceReport:
             label += f" [{self.population}]"
         if self.ok:
             status = "conform" if self.completed else "conform (slot budget hit)"
-            ct = self.classic_totals
+            ct = self.reference_totals
             extra = (
                 f" tx={ct.get('tx', 0)} rx={ct.get('rx', 0)}"
                 f" coll={ct.get('collisions', 0)} lost={ct.get('lost', 0)}"

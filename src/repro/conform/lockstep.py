@@ -1,33 +1,42 @@
-"""Lockstep dual-path execution: one protocol, two engines, shared draws.
+"""Lockstep conformance: every engine route against its per-slot reference.
 
-The engine's two per-slot execution paths (see
-:mod:`repro.radio.engine`) are supposed to simulate the *same* radio
-model.  This module makes that claim falsifiable: it runs the
-**vectorized fast path** and the **per-node compatibility path** side
-by side on the same deployment, parameters, wake schedule, and seed,
-and demands slot-exact agreement of every observable — transmissions
-(including payloads), receptions, collisions, state transitions,
-decisions, and the always-on channel metrics.
+Theorem 2 holds *at all times* under Sect. 2's slot model, so the
+engine's span-stepped routes (see :mod:`repro.radio.engine`) must
+simulate that model slot for slot.  This module makes the claim
+falsifiable.  :func:`run_lockstep` runs a node population on its own
+route — advanced by :meth:`~repro.radio.engine.RadioSimulator.
+step_block` at a chosen block size and stopped by the protocol's
+completion predicate — next to a **per-slot reference** of the same
+population on the same deployment, parameters, wake schedule and seed,
+and demands slot-exact agreement of every observable: transmissions
+(payloads included), receptions, collisions, state transitions and
+decisions, the channel metrics, and the terminal state.
 
-The trick that makes slot-exact comparison possible is a **shared
-transmit-decision stream**.  The vectorized path draws all transmit
-Bernoullis in one ``rng.random(n)`` call per slot; the compatibility
-side runs the same batched-interface nodes behind :class:`StepShimNode`
-wrappers whose ``step()`` reads its node's uniform from a
-:class:`SlotUniformSource` — a generator seeded identically to the
-vectorized engine's and drawn in the same one-``random(n)``-per-slot
-pattern.  Both paths therefore see byte-identical transmit decisions,
-and byte-identical loss streams (both engines spawn their loss child
-from equal seed sequences), so *any* remaining difference is a real
-semantic divergence between the paths: a stale fast-path cache, a
-missed refresh, a reordered delivery, a miscounted metric.
+The reference is the engine's per-slot loop, which steps every awake
+node every slot, delivers every reception and shares no span code with
+either route.  A population picks its route by its interface, so the
+reference wraps each node in a class that hides it:
 
-What the shim deliberately does **not** share is the fast path's
-bookkeeping: it re-reads ``next_event_slot()`` / ``tx_prob()`` fresh
-from node state every slot, while the vectorized engine trusts its
-cached ``_evt`` / ``_p`` arrays and the ``_refresh`` discipline that
-maintains them.  The caches are exactly the machinery PR 1 added and
-exactly where lockstep divergences would come from.
+- the **classic** population (``ColoringNode``, which draws its own
+  transmit coin in ``step``) runs behind :class:`PerSlotNode`, a plain
+  forwarding wrapper without ``next_step_slot``.  Both sides draw from
+  identically seeded protocol streams in the same per-slot order, so
+  even the per-slot draw counts must agree;
+- the **batched** population (``BernoulliColoringNode``, whose coin the
+  vectorized route draws) runs behind :class:`StepShimNode`, which
+  flips the coin from a :class:`SlotUniformSource` — a generator seeded
+  like the route's and drawn in the same one-``random(n)``-per-slot
+  pattern — so both sides see byte-identical transmit decisions.  The
+  shim re-reads ``next_event_slot()`` / ``tx_prob()`` from node state
+  every slot, where the route trusts its cached arrays and the refresh
+  discipline that maintains them.
+
+Both engines spawn their loss child from equal seed sequences, so the
+loss streams coincide too, and any remaining difference is a real
+divergence: a stale cache, a missed refresh, a step skipped or taken
+back wrongly, a reordered delivery, a miscounted metric.
+:func:`run_unaligned_lockstep` compares the aligned engine with the
+zero-offset unaligned simulator through the same comparison.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from repro._util import spawn_generator
 from repro.conform.divergence import ConformanceReport, Divergence, localize_slot
 from repro.conform.scenarios import Scenario
 from repro.core.params import Parameters, suggested_max_slots
+from repro.core.protocol import DEFAULT_BLOCK
 from repro.core.strategy import ColoringProtocol, resolve_protocol
 from repro.core.vector_node import BernoulliColoringNode
 from repro.graphs.deployment import Deployment
@@ -48,16 +58,16 @@ from repro.radio.channel import PhyModel
 from repro.radio.engine import RadioSimulator
 from repro.radio.messages import ColorMessage, Message
 from repro.radio.node import ProtocolNode
-from repro.radio.trace import TraceRecorder
+from repro.radio.trace import ChannelMetrics, TraceEvent, TraceRecorder
 from repro.radio.unaligned import UnalignedRadioSimulator
 
 __all__ = [
     "LockstepPair",
+    "PerSlotNode",
     "SlotUniformSource",
     "SourcedBeaconNode",
     "StepShimNode",
     "build_lockstep",
-    "run_block_lockstep",
     "run_lockstep",
     "run_unaligned_lockstep",
 ]
@@ -107,42 +117,32 @@ class SlotUniformSource:
         return self._u
 
 
-class StepShimNode(ProtocolNode):
-    """Drives one batched-interface node through the classic step path.
+class PerSlotNode(ProtocolNode):
+    """Steps one classic node every slot of the engine's per-slot loop.
 
-    Mirrors the vectorized engine's per-slot semantics for a single
-    node — apply the due scheduled event, then transmit iff the shared
-    uniform beats ``tx_prob()`` — but recomputes everything from node
-    state instead of trusting engine caches.  The engine-provided
-    ``rng`` is deliberately unused: transmit decisions come from the
-    shared :class:`SlotUniformSource` so both paths consume identical
-    randomness.
+    Forwards the wake-up, ``step`` and ``deliver`` to the wrapped node.
+    The wrapper has neither ``tx_prob`` nor ``next_step_slot``, so a
+    population of them runs the loop that steps every awake node every
+    slot and delivers every reception unfiltered.
     """
 
-    __slots__ = ("inner", "_source")
+    __slots__ = ("inner",)
 
-    def __init__(self, inner, source: SlotUniformSource) -> None:
+    def __init__(self, inner) -> None:
         super().__init__(inner.vid)
         self.inner = inner
-        self._source = source
 
     def on_wake(self, slot: int) -> None:
         """Forward the wake-up to the wrapped node."""
         self.inner.wake(slot)
 
     def step(self, slot: int, rng) -> Message | None:
-        """One classic-path slot with fast-path semantics: apply the due
-        event, then transmit iff the shared uniform beats ``tx_prob``."""
-        inner = self.inner
-        if inner.next_event_slot() <= slot:
-            inner.on_event(slot)
-        if self._source.uniforms(slot)[self.vid] < inner.tx_prob():
-            return inner.emit(slot)
-        return None
+        """Forward the slot's step (the engine's protocol stream)."""
+        return self.inner.step(slot, rng)
 
-    def deliver(self, slot: int, msg: Message) -> None:
+    def deliver(self, slot: int, msg: Message) -> bool | None:
         """Forward a successful reception to the wrapped node."""
-        self.inner.deliver(slot, msg)
+        return self.inner.deliver(slot, msg)
 
     @property
     def done(self) -> bool:
@@ -150,14 +150,42 @@ class StepShimNode(ProtocolNode):
         return self.inner.done
 
 
+class StepShimNode(PerSlotNode):
+    """Steps one batched-interface node every slot, with the vectorized
+    route's semantics recomputed from node state.
+
+    Applies the due scheduled event, then transmits iff the shared
+    uniform beats ``tx_prob()``.  The engine-provided ``rng`` is
+    deliberately unused: transmit decisions come from the shared
+    :class:`SlotUniformSource`, so both sides consume identical
+    randomness.
+    """
+
+    __slots__ = ("_source",)
+
+    def __init__(self, inner, source: SlotUniformSource) -> None:
+        super().__init__(inner)
+        self._source = source
+
+    def step(self, slot: int, rng) -> Message | None:
+        """Apply the due event, then transmit iff the shared uniform
+        beats ``tx_prob``."""
+        inner = self.inner
+        if inner.next_event_slot() <= slot:
+            inner.on_event(slot)
+        if self._source.uniforms(slot)[self.vid] < inner.tx_prob():
+            return inner.emit(slot)
+        return None
+
+
 @dataclass
 class LockstepPair:
-    """The two wired simulators plus their traces and node lists."""
+    """The two wired simulators and their protocol nodes."""
 
-    classic: RadioSimulator
-    vectorized: RadioSimulator
-    classic_nodes: list  #: the *inner* protocol nodes behind the shims
-    vectorized_nodes: list
+    reference: RadioSimulator  #: the per-slot loop over wrapped nodes
+    route: RadioSimulator  #: the population on its own route
+    reference_nodes: list  #: the *inner* protocol nodes behind the wrappers
+    route_nodes: list
 
 
 def build_lockstep(
@@ -168,72 +196,114 @@ def build_lockstep(
     seed: int = 0,
     loss_prob: float = 0.0,
     node_cls: type = BernoulliColoringNode,
-    vectorized_node_cls: type | None = None,
+    route_node_cls: type | None = None,
     phy_factory: Callable[[], PhyModel] | None = None,
 ) -> LockstepPair:
-    """Wire the dual-path pair (identical seeds, independent traces).
+    """Wire the lockstep pair (identical seeds, independent traces).
 
-    ``vectorized_node_cls`` substitutes a different node class on the
-    fast-path side only — how the localizer's own regression tests
-    inject deliberate bugs.  ``phy_factory`` builds one fresh PHY model
-    per engine (a PHY binds to exactly one simulator); both sides get
-    structurally identical models, and any PHY side stream (e.g. channel
-    hopping) is spawned in the same order from identically-seeded
-    generators, so both paths hop identically.
+    ``node_cls`` picks the population: a batched class (with
+    ``tx_prob``) is referenced through :class:`StepShimNode`, any other
+    through :class:`PerSlotNode`.  ``route_node_cls`` substitutes a
+    different class of the same population on the route side only — how
+    the localizer's own regression tests inject deliberate bugs.
+    ``phy_factory`` builds one fresh PHY model per engine (a PHY binds
+    to exactly one simulator); both sides get structurally identical
+    models, and any PHY side stream (e.g. channel hopping) is spawned in
+    the same order from identically seeded generators.
     """
     n = dep.n
 
     def conform_rng() -> np.random.Generator:
-        # Three *equal but distinct* generators: each PCG64 stream
-        # starts identically, and each engine spawns its own loss child
-        # from its own (fresh) spawn counter, so the loss streams
-        # coincide too.
+        # Equal but distinct generators: each PCG64 stream starts
+        # identically, and each engine spawns its own loss child from
+        # its own (fresh) spawn counter, so the loss streams coincide.
         return spawn_generator(seed, _CONFORM_KEY)
 
+    def simulator(nodes: list, trace: TraceRecorder) -> RadioSimulator:
+        return RadioSimulator(
+            dep,
+            nodes,
+            wake_slots,
+            rng=conform_rng(),
+            trace=trace,
+            loss_prob=loss_prob,
+            phy=phy_factory() if phy_factory is not None else None,
+        )
+
     trace_a = TraceRecorder(n, level=2)
-    trace_b = TraceRecorder(n, level=2)
-    source = SlotUniformSource(conform_rng(), n)
     inner = [node_cls(v, params, trace_a) for v in range(n)]
-    shims = [StepShimNode(node, source) for node in inner]
-    classic = RadioSimulator(
-        dep,
-        shims,
-        wake_slots,
-        rng=conform_rng(),
-        trace=trace_a,
-        loss_prob=loss_prob,
-        phy=phy_factory() if phy_factory is not None else None,
+    if hasattr(node_cls, "tx_prob"):
+        source = SlotUniformSource(conform_rng(), n)
+        wrapped: list = [StepShimNode(node, source) for node in inner]
+    else:
+        wrapped = [PerSlotNode(node) for node in inner]
+    route_cls = route_node_cls or node_cls
+    trace_b = TraceRecorder(n, level=2)
+    route_nodes = [route_cls(v, params, trace_b) for v in range(n)]
+    route = simulator(route_nodes, trace_b)
+    assert route.vectorized or hasattr(route_cls, "next_step_slot"), (
+        f"{route_cls.__name__} has no span-stepped route"
     )
-    assert not classic.vectorized, "shim population must run the classic path"
-    vec_cls = vectorized_node_cls or node_cls
-    vec_nodes = [vec_cls(v, params, trace_b) for v in range(n)]
-    vectorized = RadioSimulator(
-        dep,
-        vec_nodes,
-        wake_slots,
-        rng=conform_rng(),
-        trace=trace_b,
-        loss_prob=loss_prob,
-        phy=phy_factory() if phy_factory is not None else None,
-    )
-    assert vectorized.vectorized, f"{vec_cls.__name__} must run the vectorized path"
-    return LockstepPair(classic, vectorized, inner, vec_nodes)
+    return LockstepPair(simulator(wrapped, trace_a), route, inner, route_nodes)
 
 
-#: metric columns compared across paths (draw counts are per-path
-#: diagnostics: the paths consume their streams differently by design).
-_COMPARED_METRICS = ("tx", "rx", "collisions", "lost")
+def _by_slot(events: list[TraceEvent]) -> dict[int, list[TraceEvent]]:
+    """Events grouped by their stamped slot."""
+    out: dict[int, list[TraceEvent]] = {}
+    for e in events:
+        out.setdefault(e.slot, []).append(e)
+    return out
+
+
+def _first_divergence(
+    events_a: list[TraceEvent],
+    events_b: list[TraceEvent],
+    metrics_a: ChannelMetrics,
+    metrics_b: ChannelMetrics,
+    slots: range,
+    scenario: Scenario | None,
+    route_draws: int | None = None,
+) -> Divergence | None:
+    """The first divergence over ``slots``, slot by slot: the slot's
+    level-2 events in canonical form, then its six metric columns.
+
+    Events are grouped by their stamped slot (some transitions stamp the
+    next slot); those stamped past ``slots`` are compared last.  Both
+    sides must have processed exactly ``slots``, so such a group holds
+    the same share of that slot's events on either side.  The route's
+    ``protocol_draws`` must equal ``route_draws`` in every slot where
+    that is given (the vectorized route draws ``n`` uniforms per slot;
+    its reference draws from the shared source instead), and the
+    reference's otherwise.
+    """
+    by_a, by_b = _by_slot(events_a), _by_slot(events_b)
+    for k in slots:
+        divergence = localize_slot(k, by_a.pop(k, []), by_b.pop(k, []), scenario)
+        if divergence is not None:
+            return divergence
+        for name in ChannelMetrics.FIELDS:
+            a = getattr(metrics_a, name)[k]
+            b = getattr(metrics_b, name)[k]
+            if name == "protocol_draws" and route_draws is not None:
+                a = route_draws
+            if a != b:
+                # Events agreed but a counter did not: the metrics
+                # instrumentation itself drifted between the sides.
+                return Divergence(k, None, f"metrics.{name}", a, b, scenario)
+    for k in sorted(by_a.keys() | by_b.keys()):
+        divergence = localize_slot(k, by_a.get(k, []), by_b.get(k, []), scenario)
+        if divergence is not None:
+            return divergence
+    return None
 
 
 def _final_divergence(pair: LockstepPair, scenario) -> Divergence | None:
     """Terminal cross-checks once the slot loop agreed everywhere."""
-    ta, tb = pair.classic.trace, pair.vectorized.trace
-    slot = pair.classic.slot
-    for v, (a, b) in enumerate(zip(pair.classic_nodes, pair.vectorized_nodes)):
-        if getattr(a, "color", None) != getattr(b, "color", None):
-            return Divergence(
-                slot, v, "final.colors", a.color, b.color, scenario
-            )
+    ta, tb = pair.reference.trace, pair.route.trace
+    slot = pair.reference.slot
+    for v, (a, b) in enumerate(zip(pair.reference_nodes, pair.route_nodes)):
+        if a.color != b.color:
+            return Divergence(slot, v, "final.colors", a.color, b.color, scenario)
     for name, arr_a, arr_b in (
         ("final.decide_slot", ta.decide_slot, tb.decide_slot),
         ("final.tx_count", ta.tx_count, tb.tx_count),
@@ -253,27 +323,34 @@ def run_lockstep(
     *,
     seed: int = 0,
     loss_prob: float = 0.0,
+    block: int = DEFAULT_BLOCK,
     max_slots: int | None = None,
     node_cls: type = BernoulliColoringNode,
-    vectorized_node_cls: type | None = None,
+    route_node_cls: type | None = None,
     scenario: Scenario | None = None,
     phy_factory: Callable[[], PhyModel] | None = None,
     protocol: ColoringProtocol | str | None = None,
 ) -> ConformanceReport:
-    """Step both paths in lockstep and localize the first divergence.
+    """Run a population's route against its per-slot reference and
+    localize the first divergence.
 
-    Every slot, both simulators advance once; the slot's trace events
-    (level 2: every tx/rx/collision plus wake/state/decide) and channel
-    metrics are compared in canonical form.  On the first mismatch the
-    loop stops and the report carries a :class:`Divergence` naming the
-    slot, node, and field, with the scenario as minimized reproducer.
-
-    ``protocol`` generalizes the completion condition: each side is
-    declared finished by the strategy's
-    :meth:`~repro.core.strategy.ColoringProtocol.completed` over *its
-    own* trace and (inner) node list, and a one-sided finish is itself
-    reported as a ``completed`` divergence.
+    The route advances ``block`` slots per
+    :meth:`~repro.radio.engine.RadioSimulator.step_block` call, stopped
+    by ``protocol``'s completion predicate with ``check_every=1`` (so at
+    the exact slot it first holds, as in ``run_coloring``); the
+    reference then steps slot by slot to the same slot.  Each slot's
+    level-2 events, its metric columns tx, rx, collisions, lost and
+    loss_draws, and its protocol_draws (equal on the classic population;
+    ``n`` per slot on the vectorized route) are compared, and at the end
+    the completion predicate on both sides and the terminal state
+    (colors, decide slots, per-node counters).  The first mismatch ends
+    the run, and the report carries a :class:`Divergence` naming the
+    slot, node and field, with the scenario as minimized reproducer.
     """
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    if max_slots is not None and max_slots < 0:
+        raise ValueError(f"max_slots must be >= 0, got {max_slots}")
     proto = resolve_protocol(protocol)
     pair = build_lockstep(
         dep,
@@ -282,200 +359,51 @@ def run_lockstep(
         seed=seed,
         loss_prob=loss_prob,
         node_cls=node_cls,
-        vectorized_node_cls=vectorized_node_cls,
+        route_node_cls=route_node_cls,
         phy_factory=phy_factory,
     )
     if max_slots is None:
         wake_max = int(wake_slots.max()) if dep.n else 0
         max_slots = suggested_max_slots(params, wake_max)
-    sim_a, sim_b = pair.classic, pair.vectorized
+    sim_a, sim_b = pair.reference, pair.route
     ta, tb = sim_a.trace, sim_b.trace
-    ia = ib = 0  # consumed prefixes of the two event lists
-    divergence: Divergence | None = None
-    while sim_a.slot < max_slots:
-        t = sim_a.slot
-        sim_a.step()
-        sim_b.step()
-        divergence = localize_slot(t, ta.events[ia:], tb.events[ib:], scenario)
-        ia, ib = len(ta.events), len(tb.events)
-        if divergence is None:
-            row_a = ta.channel_metrics.row(t)
-            row_b = tb.channel_metrics.row(t)
-            for name in _COMPARED_METRICS:
-                if row_a[name] != row_b[name]:
-                    # Events agreed but a counter did not: the metrics
-                    # instrumentation itself drifted between paths.
-                    divergence = Divergence(
-                        t, None, f"metrics.{name}", row_a[name], row_b[name], scenario
-                    )
-                    break
-        if divergence is not None:
-            break
-        if proto.completed(ta, pair.classic_nodes) and proto.completed(
-            tb, pair.vectorized_nodes
-        ):
-            break
-    if divergence is None:
-        done_a = proto.completed(ta, pair.classic_nodes)
-        done_b = proto.completed(tb, pair.vectorized_nodes)
-        if done_a != done_b:
-            divergence = Divergence(
-                sim_a.slot,
-                None,
-                "completed",
-                done_a,
-                done_b,
-                scenario,
-            )
-    if divergence is None:
-        divergence = _final_divergence(pair, scenario)
-    completed = proto.completed(ta, pair.classic_nodes) and proto.completed(
-        tb, pair.vectorized_nodes
-    )
-    return ConformanceReport(
-        scenario=scenario,
-        ok=divergence is None,
-        slots=sim_a.slot,
-        completed=completed,
-        divergence=divergence,
-        classic_totals=ta.channel_metrics.totals(),
-        vectorized_totals=tb.channel_metrics.totals(),
-    )
+    nodes_a, nodes_b = pair.reference_nodes, pair.route_nodes
+    route_draws = dep.n if sim_b.vectorized else None
 
-
-def run_block_lockstep(
-    dep: Deployment,
-    params: Parameters,
-    wake_slots: np.ndarray,
-    *,
-    seed: int = 0,
-    loss_prob: float = 0.0,
-    block: int = 64,
-    max_slots: int | None = None,
-    node_cls: type = BernoulliColoringNode,
-    scenario: Scenario | None = None,
-    phy_factory: Callable[[], PhyModel] | None = None,
-    protocol: ColoringProtocol | str | None = None,
-) -> ConformanceReport:
-    """Lockstep one-slot stepping of one population against its
-    block-stepped mode.
-
-    Both sides are the *same* route — identically-seeded simulators over
-    the same node class: the vectorized fast path for a batched
-    ``node_cls`` (the default), the event-driven classic route for a
-    ``ColoringNode``-family one — so the claim under test is the
-    strongest one in the engine: :meth:`RadioSimulator.step_block` must
-    be **byte-identical** to stepping slot by slot (``step()``, a span
-    of one slot of the same loop), wherever the span boundaries fall.
-    Unlike the classic-vs-vectorized lockstep, the comparison therefore
-    covers all six channel-metric columns (including the per-path diagnostic draw
-    counters ``protocol_draws`` / ``loss_draws``: the block draw
-    ``random((B, n))`` and the all-passive-span ``skip`` consume the
-    PCG64 stream exactly like per-slot ``random(n)`` calls, a classic
-    span rewinds the stream past a cut, and the blocked modes attribute
-    draws to slots identically), plus every level-2 trace event (a
-    classic span's transmissions past its first slot are logged by the
-    multi-slot row walk) and the terminal node state.
-
-    The blocked side advances ``block`` slots per ``step_block`` call
-    while the other side takes single steps; events and metric rows
-    are compared chunk-by-chunk and any mismatch is localized to its
-    exact slot.
-
-    ``protocol`` generalizes the completion condition exactly as in
-    :func:`run_lockstep`.
-    """
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    proto = resolve_protocol(protocol)
-    n = dep.n
-
-    def conform_rng() -> np.random.Generator:
-        return spawn_generator(seed, _CONFORM_KEY)
-
-    trace_a = TraceRecorder(n, level=2)
-    trace_b = TraceRecorder(n, level=2)
-    nodes_a = [node_cls(v, params, trace_a) for v in range(n)]
-    nodes_b = [node_cls(v, params, trace_b) for v in range(n)]
-
-    def build(nodes, trace) -> RadioSimulator:
-        sim = RadioSimulator(
-            dep,
-            nodes,
-            wake_slots,
-            rng=conform_rng(),
-            trace=trace,
-            loss_prob=loss_prob,
-            phy=phy_factory() if phy_factory is not None else None,
-        )
-        assert sim.vectorized or hasattr(node_cls, "next_step_slot"), (
-            f"{node_cls.__name__} has no block-stepped route"
-        )
-        return sim
-
-    sim_a = build(nodes_a, trace_a)
-    sim_b = build(nodes_b, trace_b)
-    if max_slots is None:
-        wake_max = int(wake_slots.max()) if n else 0
-        max_slots = suggested_max_slots(params, wake_max)
+    def route_done(_sim: object) -> bool:
+        return proto.completed(tb, nodes_b)
 
     ia = ib = 0  # consumed prefixes of the two event lists
     divergence: Divergence | None = None
-    while sim_a.slot < max_slots and divergence is None:
-        t0 = sim_a.slot
-        chunk = min(block, max_slots - t0)
-        for _ in range(chunk):
+    while sim_b.slot < max_slots:
+        t0 = sim_b.slot
+        stopped = sim_b.step_block(
+            min(block, max_slots - t0), route_done, check_every=1
+        )
+        while sim_a.slot < sim_b.slot:
             sim_a.step()
-        sim_b.step_block(chunk)
-        # Events, grouped by slot, in canonical form.
-        by_slot_a: dict[int, list] = {}
-        for e in trace_a.events[ia:]:
-            by_slot_a.setdefault(e.slot, []).append(e)
-        by_slot_b: dict[int, list] = {}
-        for e in trace_b.events[ib:]:
-            by_slot_b.setdefault(e.slot, []).append(e)
-        ia, ib = len(trace_a.events), len(trace_b.events)
-        for k in sorted(set(by_slot_a) | set(by_slot_b)):
-            divergence = localize_slot(
-                k, by_slot_a.get(k, []), by_slot_b.get(k, []), scenario
-            )
-            if divergence is not None:
-                break
-        if divergence is None:
-            # All six metric columns, slot-exact across the chunk.
-            for k in range(t0, t0 + chunk):
-                row_a = trace_a.channel_metrics.row(k)
-                row_b = trace_b.channel_metrics.row(k)
-                for name in row_a:
-                    if row_a[name] != row_b[name]:
-                        divergence = Divergence(
-                            k, None, f"metrics.{name}",
-                            row_a[name], row_b[name], scenario,
-                        )
-                        break
-                if divergence is not None:
-                    break
-        if (
-            divergence is None
-            and proto.completed(trace_a, nodes_a)
-            and proto.completed(trace_b, nodes_b)
-        ):
+        divergence = _first_divergence(
+            ta.events[ia:], tb.events[ib:], ta.channel_metrics,
+            tb.channel_metrics, range(t0, sim_b.slot), scenario, route_draws,
+        )
+        ia, ib = len(ta.events), len(tb.events)
+        if divergence is not None or stopped:
             break
+    done_a = proto.completed(ta, nodes_a)
+    done_b = proto.completed(tb, nodes_b)
+    if divergence is None and done_a != done_b:
+        divergence = Divergence(sim_a.slot, None, "completed", done_a, done_b, scenario)
     if divergence is None:
-        pair = LockstepPair(sim_a, sim_b, nodes_a, nodes_b)
         divergence = _final_divergence(pair, scenario)
-    completed = proto.completed(trace_a, nodes_a) and proto.completed(
-        trace_b, nodes_b
-    )
     return ConformanceReport(
         scenario=scenario,
         ok=divergence is None,
         slots=sim_a.slot,
-        completed=completed,
+        completed=done_a and done_b,
         divergence=divergence,
-        classic_totals=trace_a.channel_metrics.totals(),
-        vectorized_totals=trace_b.channel_metrics.totals(),
-        population=node_cls.__name__,
+        reference_totals=ta.channel_metrics.totals(),
+        route_totals=tb.channel_metrics.totals(),
+        population=(route_node_cls or node_cls).__name__,
     )
 
 
@@ -526,8 +454,8 @@ def run_unaligned_lockstep(
     tx_prob: float = 0.25,
     scenario: Scenario | None = None,
 ) -> ConformanceReport:
-    """Lockstep the aligned classic engine against the zero-offset
-    unaligned simulator on a scripted beacon population.
+    """Lockstep the aligned engine's per-slot loop against the
+    zero-offset unaligned simulator on a scripted beacon population.
 
     With every offset zero, each transmission overlaps exactly one slot
     of every neighbor, so the unaligned engine's rolling buffers must
@@ -537,10 +465,9 @@ def run_unaligned_lockstep(
     generators).  The comparison is slot-lagged: the unaligned engine
     finalizes slot ``k`` during step ``k + 1`` and never finalizes the
     final slot, so slots ``0 .. max_slots - 2`` are compared — events
-    in canonical form plus the full six-column metrics rows (protocol
-    and loss draw counts included: both sides' beacons draw from shared
-    uniform sources outside the metered stream, so the counters must
-    agree to the draw).
+    in canonical form plus all six metric columns (protocol draw counts
+    included: both sides' beacons draw from shared uniform sources
+    outside the metered stream, so the counters must agree to the draw).
     """
     n = dep.n
     if max_slots is None:
@@ -580,30 +507,15 @@ def run_unaligned_lockstep(
         aligned.step()
         unaligned.step()
 
-    by_slot_a: dict[int, list] = {}
-    for e in trace_a.events:
-        by_slot_a.setdefault(e.slot, []).append(e)
-    by_slot_b: dict[int, list] = {}
-    for e in trace_b.events:
-        by_slot_b.setdefault(e.slot, []).append(e)
-
-    divergence: Divergence | None = None
     compared = max_slots - 1  # the final slot is never finalized unaligned
-    for k in range(compared):
-        divergence = localize_slot(
-            k, by_slot_a.get(k, []), by_slot_b.get(k, []), scenario
-        )
-        if divergence is None:
-            row_a = trace_a.channel_metrics.row(k)
-            row_b = trace_b.channel_metrics.row(k)
-            for name in row_a:
-                if row_a[name] != row_b[name]:
-                    divergence = Divergence(
-                        k, None, f"metrics.{name}", row_a[name], row_b[name], scenario
-                    )
-                    break
-        if divergence is not None:
-            break
+    divergence = _first_divergence(
+        [e for e in trace_a.events if e.slot < compared],
+        [e for e in trace_b.events if e.slot < compared],
+        trace_a.channel_metrics,
+        trace_b.channel_metrics,
+        range(compared),
+        scenario,
+    )
 
     def _totals(trace: TraceRecorder) -> dict[str, int]:
         arrays = trace.channel_metrics.as_arrays()
@@ -615,6 +527,6 @@ def run_unaligned_lockstep(
         slots=max_slots,
         completed=True,  # budget-bounded by design: beacons never decide
         divergence=divergence,
-        classic_totals=_totals(trace_a),
-        vectorized_totals=_totals(trace_b),
+        reference_totals=_totals(trace_a),
+        route_totals=_totals(trace_b),
     )

@@ -2,10 +2,11 @@
 
 Four entry points over :func:`repro.conform.lockstep.run_lockstep`:
 
-- :func:`run_scenario` — one scenario, one report;
-- :func:`run_cells` — one scenario's cells: its report, or for a block
-  cell one report per node population (the protocol's vectorized and
-  classic node classes, the engine's two block-stepped routes);
+- :func:`run_scenario` — one scenario, one route, one report;
+- :func:`run_cells` — one scenario's cells: one report per node
+  population (the protocol's batched and classic node classes, each on
+  its own route at the scenario's block size against its per-slot
+  reference), or the one unaligned report;
 - :func:`run_matrix` — the cells of a scenario list, optionally across
   worker processes via the experiment harness's deterministic sweep
   executor (:func:`repro.experiments.parallel.run_sweep`), reports in
@@ -19,16 +20,14 @@ Four entry points over :func:`repro.conform.lockstep.run_lockstep`:
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
 from repro.conform.divergence import ConformanceReport
-from repro.conform.lockstep import (
-    run_block_lockstep,
-    run_lockstep,
-    run_unaligned_lockstep,
-)
+from repro.conform.lockstep import run_lockstep, run_unaligned_lockstep
 from repro.conform.scenarios import Scenario, random_scenarios
+from repro.core.protocol import DEFAULT_BLOCK
 from repro.core.strategy import resolve_protocol
 
 __all__ = ["FuzzResult", "fuzz", "run_cells", "run_matrix", "run_scenario"]
@@ -38,53 +37,23 @@ def run_scenario(
     scenario: Scenario,
     *,
     max_slots: int | None = None,
-    vectorized_node_cls: type | None = None,
+    node_cls: type | None = None,
 ) -> ConformanceReport:
-    """Build the scenario's world and run the lockstep comparison.
+    """Build the scenario's world and run one lockstep comparison.
 
-    Dispatches on ``scenario.phy``: ``collision``, ``multichannel``, and
-    ``sinr`` lockstep the engine's classic and vectorized paths (on a
-    :class:`~repro.radio.channel.MultiChannelPhy` /
-    :class:`~repro.radio.channel.SinrPhy` for the latter two);
-    ``unaligned`` locksteps the aligned classic engine against the
-    zero-offset unaligned simulator on a scripted beacon population.
-    ``scenario.protocol`` picks the node-logic strategy (the lockstep
-    completion condition generalizes through it).  With
-    ``scenario.block > 0`` the comparison is instead the vectorized
-    population's per-slot stepping against its block-stepped mode
-    (:func:`~repro.conform.lockstep.run_block_lockstep`;
-    :func:`run_cells` also runs the classic population).
+    ``scenario.phy`` picks the channel: ``collision``, ``multichannel``
+    and ``sinr`` run the route of ``node_cls`` (default: the protocol's
+    batched class) at ``scenario.block`` (0 means
+    :data:`~repro.core.protocol.DEFAULT_BLOCK`, the ``run_coloring``
+    default) against the per-slot reference of the protocol's class of
+    the same population — batched if ``node_cls`` has ``tx_prob``,
+    classic otherwise — on a :class:`~repro.radio.channel.
+    MultiChannelPhy` / :class:`~repro.radio.channel.SinrPhy` for the
+    latter two; ``unaligned`` locksteps the aligned engine against the
+    zero-offset unaligned simulator on a scripted beacon population
+    (``node_cls`` unused).  ``scenario.protocol`` picks the node-logic
+    strategy, whose completion predicate stops the run.
     """
-    return _run(scenario, max_slots, vectorized_node_cls, vectorized=True)
-
-
-def run_cells(
-    scenario: Scenario,
-    *,
-    max_slots: int | None = None,
-    vectorized_node_cls: type | None = None,
-) -> list[ConformanceReport]:
-    """The scenario's conformance cells: :func:`run_scenario`'s report,
-    followed, for a block cell, by the same per-slot-vs-blocked lockstep
-    of the protocol's classic population, whose block-stepped route
-    takes node steps ahead of the deliveries and takes back the ones a
-    cut overtakes."""
-    reports = [run_scenario(scenario, max_slots=max_slots,
-                            vectorized_node_cls=vectorized_node_cls)]
-    if scenario.block:
-        reports.append(_run(scenario, max_slots, None, vectorized=False))
-    return reports
-
-
-def _run(
-    scenario: Scenario,
-    max_slots: int | None,
-    vectorized_node_cls: type | None,
-    *,
-    vectorized: bool,
-) -> ConformanceReport:
-    """:func:`run_scenario`, with a block cell run on the protocol's
-    vectorized or classic node population."""
     dep, params, wake_slots = scenario.build()
     if scenario.phy == "unaligned":
         return run_unaligned_lockstep(
@@ -110,49 +79,62 @@ def _run(
         from repro.radio.channel import SinrPhy
 
         phy_factory = SinrPhy
-    if scenario.block:
-        proto = resolve_protocol(scenario.protocol)
-        return run_block_lockstep(
-            dep,
-            params,
-            wake_slots,
-            seed=scenario.seed,
-            loss_prob=scenario.loss_prob,
-            block=scenario.block,
-            max_slots=max_slots,
-            node_cls=proto.node_cls(vectorized=vectorized),
-            scenario=scenario,
-            phy_factory=phy_factory,
-            protocol=scenario.protocol,
-        )
+    proto = resolve_protocol(scenario.protocol)
+    route_cls = node_cls or proto.node_cls(vectorized=True)
     return run_lockstep(
         dep,
         params,
         wake_slots,
         seed=scenario.seed,
         loss_prob=scenario.loss_prob,
+        block=scenario.block or DEFAULT_BLOCK,
         max_slots=max_slots,
-        vectorized_node_cls=vectorized_node_cls,
+        node_cls=proto.node_cls(vectorized=hasattr(route_cls, "tx_prob")),
+        route_node_cls=route_cls,
         scenario=scenario,
         phy_factory=phy_factory,
-        protocol=scenario.protocol,
+        protocol=proto,
     )
 
 
+def run_cells(
+    scenario: Scenario,
+    *,
+    max_slots: int | None = None,
+    node_classes: Sequence[type] | None = None,
+) -> list[ConformanceReport]:
+    """The scenario's conformance cells: one :func:`run_scenario` report
+    per route class in ``node_classes`` (default: the protocol's batched
+    and classic node classes, so both populations' routes are checked),
+    or the one report of an unaligned scenario."""
+    if scenario.phy == "unaligned":
+        return [run_scenario(scenario, max_slots=max_slots)]
+    if node_classes is None:
+        proto = resolve_protocol(scenario.protocol)
+        node_classes = (proto.node_cls(vectorized=True), proto.node_cls())
+    return [
+        run_scenario(scenario, max_slots=max_slots, node_cls=cls)
+        for cls in node_classes
+    ]
+
+
 def _run_indexed(
-    scenarios: tuple[Scenario, ...], index: int
+    scenarios: tuple[Scenario, ...],
+    node_classes: Sequence[type] | None,
+    index: int,
 ) -> list[ConformanceReport]:
     """Module-level sweep kernel (picklable for the process pool)."""
-    return run_cells(scenarios[index])
+    return run_cells(scenarios[index], node_classes=node_classes)
 
 
 def run_matrix(
     scenarios: tuple[Scenario, ...] | list[Scenario],
     *,
     workers: int | None = None,
+    node_classes: Sequence[type] | None = None,
 ) -> list[ConformanceReport]:
-    """Run every scenario's cells (:func:`run_cells`); reports come back
-    in scenario order.
+    """Run every scenario's cells (:func:`run_cells`, with
+    ``node_classes``); reports come back in scenario order.
 
     ``workers`` follows the sweep executor's convention (``None`` reads
     ``REPRO_SWEEP_WORKERS``, ``0`` means all cores, ``1`` is serial).
@@ -161,7 +143,7 @@ def run_matrix(
 
     scenarios = tuple(scenarios)
     cells = run_sweep(
-        partial(_run_indexed, scenarios),
+        partial(_run_indexed, scenarios, node_classes),
         seeds=range(len(scenarios)),
         workers=workers,
     )
@@ -207,11 +189,12 @@ def fuzz(
 ) -> FuzzResult:
     """Fuzz random scenarios until the budget, the cap, or a divergence.
 
-    Each scenario runs as its cells (:func:`run_cells`), so a block
-    scenario adds one report per node population.  The scenario stream
-    is fully determined by ``master_seed``; the wall-clock budget only
-    decides *how far* into the stream the campaign gets, so any failure
-    it finds is replayable from the failing scenario record alone.
+    Each scenario runs as its cells (:func:`run_cells`): one report per
+    node population, each route at the scenario's block size.  The
+    scenario stream is fully determined by ``master_seed``; the
+    wall-clock budget only decides *how far* into the stream the
+    campaign gets, so any failure it finds is replayable from the
+    failing scenario record alone.
     """
     if budget_s <= 0:
         raise ValueError(f"budget_s must be positive, got {budget_s}")

@@ -10,7 +10,8 @@ Two sources of scenarios:
 
 - :data:`SCENARIO_MATRIX` — the pinned conformance matrix (4 graph
   families x 3 wake-up schedules x loss in {0, 0.1}), run by
-  ``repro conform`` and the tier-1 smoke subset;
+  ``repro conform`` with the PHY, block and arena matrices, and the
+  tier-1 smoke subset;
 - :func:`random_scenarios` — the fuzzer: an endless seeded stream
   sweeping family, size, degree, schedule, loss, and constants, for
   budgeted fuzzing (``repro conform --fuzz`` / ``make conform``).
@@ -53,12 +54,12 @@ FAMILIES = ("udg", "torus", "ubg", "quasi_udg")
 #: wake-up schedule shapes.
 SCHEDULES = ("sync", "random", "staggered")
 
-#: conformance paths: ``collision`` locksteps the engine's classic and
-#: vectorized paths on the default PHY; ``multichannel`` does the same on
-#: a :class:`~repro.radio.channel.MultiChannelPhy`; ``sinr`` on the
-#: geometry-aware :class:`~repro.radio.channel.SinrPhy`; ``unaligned``
-#: locksteps the aligned classic engine against the zero-offset unaligned
-#: simulator on a scripted no-feedback population.
+#: channel models: ``collision`` locksteps each population's route
+#: against its per-slot reference on the default PHY; ``multichannel``
+#: does the same on a :class:`~repro.radio.channel.MultiChannelPhy`;
+#: ``sinr`` on the geometry-aware :class:`~repro.radio.channel.SinrPhy`;
+#: ``unaligned`` locksteps the aligned engine's per-slot loop against the
+#: zero-offset unaligned simulator on a scripted no-feedback population.
 PHYS = ("collision", "multichannel", "sinr", "unaligned")
 
 
@@ -78,13 +79,13 @@ class Scenario:
     phy: str = "collision"
     #: channel count for the ``multichannel`` phy (1 elsewhere).
     channels: int = 1
-    #: block size for the block-vs-per-slot lockstep (0 = classic-vs-
-    #: vectorized lockstep, the default comparison).
+    #: block size the routes run at (``step_block`` chunks; 0 means
+    #: :data:`~repro.core.protocol.DEFAULT_BLOCK`, the ``run_coloring``
+    #: default).
     block: int = 0
     #: node-logic strategy (a :mod:`repro.core.strategy` registry name);
-    #: ``mw05`` is the paper's protocol, and the lockstep comparisons —
-    #: classic vs vectorized, block — all generalize over it through the
-    #: protocol's completion predicate.
+    #: ``mw05`` is the paper's protocol, and the lockstep generalizes
+    #: over it through the protocol's completion predicate.
     protocol: str = "mw05"
 
     def __post_init__(self) -> None:
@@ -106,9 +107,9 @@ class Scenario:
             raise ValueError("scenarios need block >= 0")
         if self.block and self.phy == "unaligned":
             raise ValueError(
-                "block lockstep compares the vectorized engine's two "
-                "stepping modes; the unaligned simulator has no "
-                "vectorized path (pick one of block / phy='unaligned')"
+                "a block size sets the aligned engine's routes; the "
+                "unaligned lockstep steps slot by slot (pick one of "
+                "block / phy='unaligned')"
             )
         if self.protocol not in protocol_names():
             raise ValueError(
@@ -227,12 +228,12 @@ def _phy_matrix() -> tuple[Scenario, ...]:
 
     Kept separate from :data:`SCENARIO_MATRIX` (whose 24-cell shape is
     itself pinned): three unaligned cells lockstepping the zero-offset
-    unaligned simulator against the aligned classic engine — with and
-    without loss, across wake schedules — and three multi-channel cells
-    lockstepping the classic and vectorized paths on a 2- and 3-channel
-    PHY.  Multi-channel cells scale the protocol constants with the
-    channel count (the meeting rate drops as ``1/k``) so the runs
-    complete within their scaled slot budgets.
+    unaligned simulator against the aligned engine — with and without
+    loss, across wake schedules — and three multi-channel scenarios
+    lockstepping both populations' routes on a 2- and 3-channel PHY.
+    Multi-channel cells scale the protocol constants with the channel
+    count (the meeting rate drops as ``1/k``) so the runs complete
+    within their scaled slot budgets.
     """
     return (
         Scenario(family="udg", n=18, degree=5.0, schedule="sync",
@@ -261,17 +262,19 @@ def phy_matrix() -> tuple[Scenario, ...]:
 
 
 def _block_matrix() -> tuple[Scenario, ...]:
-    """Pinned block-vs-per-slot lockstep cells.
+    """Pinned block-size scenarios.
 
-    These assert that :meth:`~repro.radio.engine.RadioSimulator.
-    step_block` is byte-identical to one-slot stepping of the same
-    engine — across wake schedules (the staggered/random cells exercise
-    long all-passive spans, which the blocked mode fast-forwards with
-    ``advance`` in one call instead of one per slot), with loss
+    Every aligned scenario runs its routes at a block size (the default
+    :data:`~repro.core.protocol.DEFAULT_BLOCK` elsewhere); these pin
+    others, so :meth:`~repro.radio.engine.RadioSimulator.step_block`
+    must match the per-slot reference wherever its chunk boundaries
+    fall — across wake schedules (the staggered/random cells exercise
+    long all-passive spans, which the routes record in bulk), with loss
     injection (the loss-draw column must match to the draw), on
     multi-channel PHYs (lazy per-slot hop draws must stay lazy), and
-    with a block far beyond the run length (one giant chunk; segment
-    bounds, not the block size, must govern memory and correctness).
+    with a block far beyond the run length (one chunk, stopped at the
+    completion slot; span caps, not the block size, must govern memory
+    and correctness).
     """
     return (
         Scenario(family="udg", n=20, degree=5.0, schedule="sync",
@@ -291,24 +294,24 @@ def _block_matrix() -> tuple[Scenario, ...]:
     )
 
 
-#: the pinned block-stepping matrix (6 block-vs-per-slot scenarios).
+#: the pinned block-size matrix (6 scenarios).
 BLOCK_MATRIX: tuple[Scenario, ...] = _block_matrix()
 
 
 def block_matrix() -> tuple[Scenario, ...]:
-    """The pinned block-stepping scenarios (see :data:`BLOCK_MATRIX`)."""
+    """The pinned block-size scenarios (see :data:`BLOCK_MATRIX`)."""
     return BLOCK_MATRIX
 
 
 def _arena_matrix() -> tuple[Scenario, ...]:
     """Pinned protocol x PHY arena cells.
 
-    One lockstep cell per *new* pairing the strategy layer unlocks —
-    ``mw05`` over the SINR PHY, and the ``mis`` protocol over every
-    aligned PHY (collision, multichannel, SINR) — plus a blocked ``mis``
-    cell so the non-default completion predicate is exercised on the
-    span-stepped path too (state-scan predicates only change value at
-    processed slots, which the block lockstep verifies slot by slot).
+    One scenario per *new* pairing the strategy layer unlocks — ``mw05``
+    over the SINR PHY, and the ``mis`` protocol over every aligned PHY
+    (collision, multichannel, SINR) — plus a ``mis`` scenario at a small
+    block size, so the non-default completion predicate stops the routes
+    across many chunk boundaries too (state-scan predicates only change
+    value at processed slots, which the lockstep verifies slot by slot).
     The ``mw05`` x collision / multichannel pairings are pinned by
     :data:`SCENARIO_MATRIX` and :data:`PHY_MATRIX`; together the three
     walls back every cell of the E18 arena table.
@@ -359,8 +362,8 @@ def quick_matrix() -> tuple[Scenario, ...]:
                 seed=500 + fi,
             )
         )
-    # One block-stepping cell so the smoke subset also guards the
-    # blocked engine mode (full coverage lives in BLOCK_MATRIX).
+    # One small-block scenario so the smoke subset also guards chunk
+    # boundaries inside a run (full coverage lives in BLOCK_MATRIX).
     out.append(
         Scenario(
             family="udg",
@@ -403,9 +406,10 @@ def random_scenarios(master_seed: int = 0) -> Iterator[Scenario]:
 
     Sweeps family, size (8..40), degree (3..8), schedule, loss
     (0 / 0.05 / 0.1 / 0.2), and the protocol-constants scale
-    (0.6 / 1.0 / 1.5); a third of the scenarios are block cells, with a
-    block size of 3, 16, 128 or 4096, which :func:`~repro.conform.
-    runner.run_cells` runs on both node populations.  Per-scenario seeds
+    (0.6 / 1.0 / 1.5); a third of the scenarios set a block size of 3,
+    16, 128 or 4096 (the rest run at the default).
+    :func:`~repro.conform.runner.run_cells` runs each on both node
+    populations.  Per-scenario seeds
     are drawn from the stream, so the whole fuzz run is reproducible
     from ``master_seed``.
     """

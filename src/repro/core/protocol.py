@@ -265,7 +265,9 @@ def run_coloring(
         are taken ahead of its deliveries, and those a state-changing
         delivery overtakes are taken back.  The result is identical at
         any block size, and the completion stop is still localized to
-        the exact slot; ``block=1`` is the plain per-slot loop.
+        the exact slot; ``block=1`` runs spans of one slot through the
+        same loop (only populations with neither interface run the
+        engine's per-slot loop).
     protocol:
         Node-logic strategy (a
         :class:`~repro.core.strategy.ColoringProtocol` instance, a

@@ -48,8 +48,8 @@ Determinism contract (every PHY must uphold it; see DESIGN.md §5.9):
 Adding a new PHY model is three steps: subclass :class:`PhyModel`,
 implement ``resolve`` (and ``rewind``, if it draws) honouring the
 contract above, and add a pinned conformance scenario for it (see
-:mod:`repro.conform.scenarios`) so the dual-path harness keeps it
-honest.  ``docs/model.md`` walks through the interface.
+:mod:`repro.conform.scenarios`) so the lockstep harness keeps both
+routes honest on it.  ``docs/model.md`` walks through the interface.
 """
 
 from __future__ import annotations

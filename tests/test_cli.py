@@ -112,10 +112,10 @@ class TestConform:
         rc = main(["conform", "--quick"])
         out = capsys.readouterr().out
         assert rc == 0, out
-        # 8 cells: classic-vs-vectorized x4, per-slot-vs-blocked x2 (one
-        # block scenario, once per node population), plus the SINR-PHY
-        # and mis-protocol smoke cells.
-        assert "8/8 scenarios conform" in out
+        # 14 cells: 7 scenarios (one per family, a small-block one, the
+        # SINR-PHY and the mis-protocol smoke scenarios), each run once
+        # per node population.
+        assert "14/14 cells conform" in out
 
     def test_injected_bug_exits_nonzero_with_report(self, capsys):
         rc = main(["conform", "--quick", "--inject-bug"])
@@ -144,6 +144,41 @@ class TestConform:
         assert rc == 1
         assert "field 'tx.msg'" in out
 
+    def test_block_replay_with_injected_bug_exits_nonzero(self, capsys):
+        """Both populations' routes run their broken class on a block
+        scenario, and each divergence is reported."""
+        rc = main(
+            ["conform", "--family", "udg", "--n", "16", "--degree", "5",
+             "--seed", "500", "--block", "32", "--inject-bug"]
+        )
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "DIVERGENCE at slot 420, node 0: field 'tx.msg'" in out
+        assert "DIVERGENCE at slot 365, node 0: field 'tx'" in out
+        assert "0/2 cells conform" in out
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--family", "udg", "--block", "8", "--phy", "unaligned"],
+             "unaligned"),
+            (["--family", "udg", "--n", "0"], "n >= 1"),
+            (["--family", "udg", "--loss", "1.5"], "loss_prob"),
+            (["--family", "udg", "--max-slots", "-5"], "max_slots"),
+            (["--fuzz", "3", "--budget", "0"], "--budget"),
+        ],
+        ids=["block-unaligned", "n0", "loss", "max-slots", "budget"],
+    )
+    def test_invalid_scenario_flags_exit_2(self, capsys, flags, message):
+        """Invalid flags print a one-line message and exit 2 before any
+        cell runs (no traceback)."""
+        rc = main(["conform", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_metrics_flag_prints_totals(self, capsys):
         rc = main(
             ["conform", "--family", "udg", "--n", "12", "--degree", "5",
@@ -151,7 +186,7 @@ class TestConform:
         )
         out = capsys.readouterr().out
         assert rc == 0, out
-        assert "classic:" in out and "vectorized:" in out
+        assert "reference:" in out and "route:" in out
 
     def test_rejects_unknown_family(self):
         with pytest.raises(SystemExit):
@@ -164,7 +199,7 @@ class TestConform:
         )
         out = capsys.readouterr().out
         assert rc == 0, out
-        assert "1/1 scenarios conform" in out
+        assert "1/1 cells conform" in out
 
     def test_phy_replay_multichannel(self, capsys):
         rc = main(

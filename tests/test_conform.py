@@ -2,14 +2,15 @@
 
 Three layers:
 
-- the **equivalence matrix**: the engine's compatibility and vectorized
-  paths must agree slot-exactly across every pinned scenario (4 graph
+- the **equivalence matrix**: each engine route must agree slot-exactly
+  with its per-slot reference across every pinned scenario (4 graph
   families x 3 wake-up schedules x loss in {0, 0.1});
 - the **localizer regression rig**: a deliberately broken node class on
-  one side must be localized to the exact slot and node where the bug
-  first manifests — a harness that has never caught a bug is untested;
-- the **harness plumbing**: shared uniform source semantics, shim path
-  selection, scenario reproducibility, and the fuzz driver.
+  the route side must be localized to the exact slot and node where the
+  bug first manifests — a harness that has never caught a bug is
+  untested;
+- the **harness plumbing**: shared uniform source semantics, reference
+  and route selection, scenario reproducibility, and the fuzz driver.
 
 The quick tests are additionally marked ``conform`` so ``make conform``
 (and any ``-m conform`` selection) runs the smoke subset by itself.
@@ -25,9 +26,12 @@ from repro.conform import (
     SCENARIO_MATRIX,
     Divergence,
     LateActivationNode,
+    LateStepNode,
     OffByOneCounterNode,
+    PerSlotNode,
     Scenario,
     SlotUniformSource,
+    StepShimNode,
     build_lockstep,
     fuzz,
     localize_slot,
@@ -39,6 +43,7 @@ from repro.conform import (
     run_scenario,
 )
 from repro._util import spawn_generator
+from repro.core import ColoringNode
 from repro.radio.messages import CounterMessage
 from repro.radio.trace import TraceEvent
 
@@ -55,21 +60,26 @@ class TestQuickMatrix:
         "scenario", quick_matrix(), ids=_labels(quick_matrix())
     )
     def test_paths_conform(self, scenario):
-        # A block cell runs once per node population: the classic one's
-        # spans take node steps ahead of the deliveries.
+        # Every scenario runs once per node population: the batched
+        # one's vectorized route and the classic one's event-driven
+        # route, each against its per-slot reference.
         reports = run_cells(scenario)
-        assert len(reports) == (2 if scenario.block else 1)
+        assert [r.population for r in reports] == [
+            "BernoulliColoringNode", "ColoringNode"
+        ]
         for report in reports:
             assert report.ok, report.describe()
             assert report.completed, report.describe()
-            # The compared channel totals must agree too (draw counts
-            # are per-path diagnostics and legitimately differ).
-            for name in ("tx", "rx", "collisions", "lost"):
-                assert report.classic_totals[name] == report.vectorized_totals[name]
+            # The channel totals must agree too (the batched reference
+            # draws its coins outside the metered protocol stream).
+            for name in ("tx", "rx", "collisions", "lost", "loss_draws"):
+                assert report.reference_totals[name] == report.route_totals[name]
 
 
 class TestEquivalenceMatrix:
-    """The full pinned matrix: every family x schedule x loss cell."""
+    """The full pinned matrix: the batched population's route on every
+    family x schedule x loss scenario (``repro conform``, which CI runs,
+    adds the classic population's)."""
 
     @pytest.mark.parametrize(
         "scenario", SCENARIO_MATRIX, ids=_labels(SCENARIO_MATRIX)
@@ -99,8 +109,8 @@ class TestEquivalenceMatrix:
         parallel = run_matrix(subset, workers=2)
         assert [r.ok for r in serial] == [r.ok for r in parallel]
         assert [r.slots for r in serial] == [r.slots for r in parallel]
-        assert [r.classic_totals for r in serial] == [
-            r.classic_totals for r in parallel
+        assert [r.reference_totals for r in serial] == [
+            r.reference_totals for r in parallel
         ]
 
 
@@ -115,7 +125,7 @@ class TestPhyMatrix:
         report = run_scenario(scenario)
         assert report.ok, report.describe()
         for name in ("tx", "rx", "collisions", "lost"):
-            assert report.classic_totals[name] == report.vectorized_totals[name]
+            assert report.reference_totals[name] == report.route_totals[name]
 
     def test_matrix_covers_new_paths(self):
         phys = {s.phy for s in PHY_MATRIX}
@@ -132,8 +142,8 @@ class TestPhyMatrix:
         regressions on either engine surface as divergences."""
         report = run_scenario(PHY_MATRIX[1])  # unaligned, loss=0.1
         assert report.ok
-        assert report.classic_totals["loss_draws"] > 0
-        assert report.classic_totals == report.vectorized_totals
+        assert report.reference_totals["loss_draws"] > 0
+        assert report.reference_totals == report.route_totals
 
     def test_scenario_phy_validation(self):
         with pytest.raises(ValueError, match="phy"):
@@ -154,6 +164,20 @@ class TestPhyMatrix:
         assert "phy=" not in SCENARIO_MATRIX[0].label()
 
 
+class TestBlockMatrix:
+    def test_giant_block_stops_at_completion_slot(self):
+        """A block far beyond the run length is one chunk, stopped by
+        the protocol's completion predicate at the exact slot it first
+        holds, on both populations (not at the end of the slot budget)."""
+        scenario = BLOCK_MATRIX[3]
+        assert scenario.block == 1_000_000
+        reports = run_cells(scenario)
+        for report in reports:
+            assert report.ok, report.describe()
+            assert report.completed
+        assert [r.slots for r in reports] == [2632, 2720]
+
+
 @pytest.mark.conform
 class TestLocalizerRegression:
     """The localizer must name the exact slot and node of a known bug."""
@@ -170,9 +194,9 @@ class TestLocalizerRegression:
         pair = build_lockstep(
             dep, params, wake, seed=self.SCENARIO.seed, loss_prob=0.0
         )
-        while pair.classic.slot <= clean.slots:
-            pair.classic.step()
-        for e in pair.classic.trace.events:
+        while pair.reference.slot <= clean.slots:
+            pair.reference.step()
+        for e in pair.reference.trace.events:
             if (
                 e.kind == "tx"
                 and e.node == OffByOneCounterNode.BROKEN_VID
@@ -183,9 +207,7 @@ class TestLocalizerRegression:
 
     def test_off_by_one_counter_localized_exactly(self):
         expected_slot = self._first_broken_tx_slot()
-        report = run_scenario(
-            self.SCENARIO, vectorized_node_cls=OffByOneCounterNode
-        )
+        report = run_scenario(self.SCENARIO, node_cls=OffByOneCounterNode)
         assert not report.ok
         d = report.divergence
         assert d is not None
@@ -193,12 +215,10 @@ class TestLocalizerRegression:
         assert d.node == OffByOneCounterNode.BROKEN_VID
         assert d.field == "tx.msg"
         # The payloads differ by exactly the injected off-by-one.
-        assert d.vectorized.counter == d.classic.counter + 1
+        assert d.route.counter == d.reference.counter + 1
 
     def test_reproducer_replays_the_divergence(self):
-        report = run_scenario(
-            self.SCENARIO, vectorized_node_cls=OffByOneCounterNode
-        )
+        report = run_scenario(self.SCENARIO, node_cls=OffByOneCounterNode)
         repro_spec = report.divergence.reproducer()
         replayed = run_scenario(
             Scenario(
@@ -211,7 +231,7 @@ class TestLocalizerRegression:
                 param_scale=repro_spec["param_scale"],
             ),
             max_slots=repro_spec["max_slots"],
-            vectorized_node_cls=OffByOneCounterNode,
+            node_cls=OffByOneCounterNode,
         )
         assert not replayed.ok
         assert replayed.divergence.slot == report.divergence.slot
@@ -232,25 +252,41 @@ class TestLocalizerRegression:
         """The reproducer carries every scenario field (block size and
         protocol included), so the spec replays the same comparison."""
         spec = Divergence(
-            slot=41, node=3, field="tx", classic=None, vectorized=None,
+            slot=41, node=3, field="tx", reference=None, route=None,
             scenario=scenario,
         ).reproducer()
         assert spec.pop("max_slots") == 42
         assert Scenario(**spec) == scenario
 
     def test_late_activation_localized(self):
-        report = run_scenario(
-            self.SCENARIO, vectorized_node_cls=LateActivationNode
-        )
+        report = run_scenario(self.SCENARIO, node_cls=LateActivationNode)
         assert not report.ok
         d = report.divergence
         assert d.node is not None
         assert "replay:" in d.describe()
 
+    @pytest.mark.parametrize(
+        "node_cls,block,expected",
+        [
+            (LateActivationNode, 0, (278, 0, "rx")),
+            # The classic route's step schedule, at a small block size:
+            # the one-slot-late step drops node 0's transmission.
+            (LateStepNode, 32, (365, 0, "tx")),
+        ],
+        ids=["late-activation", "late-step"],
+    )
+    def test_broken_route_localized_at_pinned_point(self, node_cls, block, expected):
+        """Each population's broken route class is caught at a pinned
+        (slot, node, field), on the scenario's block size."""
+        scenario = Scenario(family="udg", n=16, degree=5.0, seed=500, block=block)
+        report = run_scenario(scenario, node_cls=node_cls)
+        assert not report.ok
+        d = report.divergence
+        assert (d.slot, d.node, d.field) == expected
+        assert report.population == node_cls.__name__
+
     def test_describe_names_slot_and_node(self):
-        report = run_scenario(
-            self.SCENARIO, vectorized_node_cls=OffByOneCounterNode
-        )
+        report = run_scenario(self.SCENARIO, node_cls=OffByOneCounterNode)
         text = report.describe()
         assert f"slot {report.divergence.slot}" in text
         assert f"node {report.divergence.node}" in text
@@ -261,8 +297,20 @@ class TestHarnessPlumbing:
     def test_shim_population_runs_classic_path(self):
         dep, params, wake = quick_matrix()[0].build()
         pair = build_lockstep(dep, params, wake, seed=1)
-        assert not pair.classic.vectorized
-        assert pair.vectorized.vectorized
+        assert all(isinstance(v, StepShimNode) for v in pair.reference.nodes)
+        assert not pair.reference.vectorized
+        assert pair.route.vectorized
+
+    def test_classic_population_reference_steps_every_slot(self):
+        """The classic population's reference is a forwarding wrapper
+        without ``next_step_slot``: the engine's per-slot loop."""
+        dep, params, wake = quick_matrix()[0].build()
+        pair = build_lockstep(dep, params, wake, seed=1, node_cls=ColoringNode)
+        assert all(type(v) is PerSlotNode for v in pair.reference.nodes)
+        assert not hasattr(pair.reference.nodes[0], "next_step_slot")
+        assert not pair.route.vectorized
+        assert all(type(v) is ColoringNode for v in pair.route_nodes)
+        assert all(type(v) is ColoringNode for v in pair.reference_nodes)
 
     def test_slot_uniform_source_matches_engine_stream(self):
         """uniforms(t)[v] must be byte-identical to the t-th random(n)
@@ -308,7 +356,7 @@ class TestHarnessPlumbing:
         a = [TraceEvent(4, 1, "tx", {"msg": "m"})]
         d = localize_slot(4, a, [])
         assert d.node == 1 and d.field == "tx"
-        assert d.classic is not None and d.vectorized is None
+        assert d.reference is not None and d.route is None
 
 
 @pytest.mark.conform

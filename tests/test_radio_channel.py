@@ -243,5 +243,5 @@ class TestPinnedMatrixParity:
         assert report.ok, report.describe()
         assert report.completed
         assert report.slots == slots
-        assert report.classic_totals == classic
-        assert report.vectorized_totals == vectorized
+        assert report.reference_totals == classic
+        assert report.route_totals == vectorized

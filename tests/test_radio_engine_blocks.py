@@ -10,16 +10,20 @@ run the same seeded world at ``block=1`` and at other block sizes and
 demand equality of every observable: slot counts, early-stop
 behaviour, all six channel-metric columns slot-for-slot, per-node trace
 counters, the event list of the trace level, and final colors.  The
-references sharing no span code are the ``StepShimNode`` lockstep
-(``tests/test_conform.py``) and the ``next_step_slot``-less population
-of ``tests/test_radio_engine_events.py``.
+references sharing no span code are the per-slot loop's: the
+conformance lockstep (``tests/test_conform.py``, ``repro conform``),
+which runs both routes against ``StepShimNode`` / ``PerSlotNode``
+populations, and the ``next_step_slot``-less population of
+``tests/test_radio_engine_events.py``.
 
-The conformance matrix (``repro conform --matrix``) pins specific
-scenarios; the Hypothesis property here walks random deployments, wake
-schedules, seeds, loss rates, channel counts, trace levels, stop
+The conformance wall (``repro conform``) pins specific scenarios at
+trace level 2; the Hypothesis property here walks random deployments,
+wake schedules, seeds, loss rates, channel counts, trace levels, stop
 granularities, and block sizes (including ``block=1`` and ``block`` far
-beyond the run length).  Level 0 is the level every benchmark run
-uses, and the only one whose deliveries all go through the bulk path.
+beyond the run length).  Multi-slot runs below level 2 deliver in bulk
+unless message sizes are checked (``sync-contended`` and
+``async-lossy-2ch`` run at level 0, ``e1-sweep`` at the default level
+1); one-slot runs and level 2 take the core's row walk.
 """
 
 from __future__ import annotations
