@@ -49,19 +49,18 @@ def test_kappa_computation(benchmark, layer):
     neighborhood over bitmasks read from the deployment's CSR rows, pruned
     by the greedy clique-cover bound.  ``kappas`` times the search on a
     150-node UDG; ``for_deployment`` times the whole parameter layer
-    (neighbor CSR, 2-hop CSR, exact kappa) on fresh copies of an
-    ``e1-sweep``-shaped input, as the ``bench/`` harness pays it once per
-    input."""
-    from repro.graphs import Deployment, kappas
+    (2-hop CSR, exact kappa; the neighbor CSR is built with the
+    deployment) on fresh copies of an ``e1-sweep``-shaped input, as the
+    ``bench/`` harness pays it once per input."""
+    from repro.graphs import kappas
 
     if layer == "kappas":
         dep = random_udg(150, expected_degree=14, seed=9, connected=True)
         k1, k2 = benchmark(lambda: kappas(dep))
     else:
-        dep = random_udg(60, expected_degree=14, seed=5, connected=True)
 
         def fresh():
-            return (Deployment(dep.graph, dep.positions, dep.kind, dep.meta),), {}
+            return (random_udg(60, expected_degree=14, seed=5, connected=True),), {}
 
         params = benchmark.pedantic(Parameters.for_deployment, setup=fresh, rounds=50)
         k1, k2 = params.kappa1, params.kappa2

@@ -21,8 +21,8 @@ def compare_runs(a, b, *, label_a: str = "a", label_b: str = "b") -> dict[str, o
     Returns a flat dict of paired statistics; raises if the runs are not
     over the same graph.
     """
-    if a.deployment.n != b.deployment.n or set(a.deployment.graph.edges) != set(
-        b.deployment.graph.edges
+    if a.deployment.n != b.deployment.n or not all(
+        np.array_equal(x, y) for x, y in zip(a.deployment.csr, b.deployment.csr)
     ):
         raise ValueError("results are not over the same deployment")
     ta = a.decision_times().astype(float)

@@ -14,8 +14,9 @@ and — once the run completed — a *maximal* one: every non-leader heard
 (and therefore has) a leader neighbor.
 
 Every check is an array operation over the deployment's CSR adjacency,
-each edge taken once as ``u < v`` (:func:`_edges`), and reports its
-violations in ascending ``(u, v)`` order.
+each edge taken once as ``u < v``
+(:meth:`~repro.graphs.deployment.Deployment.edge_arrays`), and reports
+its violations in ascending ``(u, v)`` order.
 """
 
 from __future__ import annotations
@@ -37,21 +38,12 @@ __all__ = [
 ]
 
 
-def _edges(dep: Deployment) -> tuple[np.ndarray, np.ndarray]:
-    """Every edge of ``dep`` once, as arrays ``u < v`` in ascending
-    ``(u, v)`` order (the CSR rows are sorted)."""
-    indptr, indices = dep.csr
-    first = np.repeat(np.arange(dep.n), np.diff(indptr))
-    once = first < indices
-    return first[once], indices[once]
-
-
 def check_proper_coloring(
     dep: Deployment, colors: np.ndarray
 ) -> list[tuple[int, int, int]]:
     """Return all violating edges ``(u, v, color)`` among decided nodes."""
     colors = np.asarray(colors)
-    u, v = _edges(dep)
+    u, v = dep.edge_arrays()
     cu = colors[u]
     bad = (cu >= 0) & (cu == colors[v])
     return list(zip(u[bad].tolist(), v[bad].tolist(), cu[bad].tolist()))
@@ -71,7 +63,7 @@ def check_independence_over_time(
     later decision ``slot`` (that of ``u``; ``v`` decided earlier, or in
     the same slot — simultaneous decisions are violations too, as in
     the theorem's proof).  Sorted by slot, then ``u``, then ``v``."""
-    a, b = _edges(dep)
+    a, b = dep.edge_arrays()
     slot, color = trace.decide_slot, trace.decide_color
     bad = (slot[a] >= 0) & (slot[b] >= 0) & (color[a] == color[b])
     a, b = a[bad], b[bad]
@@ -93,7 +85,7 @@ def check_leader_set(
     completed run every node has decided).  Returns human-readable
     problems."""
     leader = np.asarray(colors) == 0
-    u, v = _edges(dep)
+    u, v = dep.edge_arrays()
     both = leader[u] & leader[v]
     problems = [
         f"adjacent leaders {a} and {b}"

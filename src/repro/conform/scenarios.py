@@ -150,7 +150,7 @@ class Scenario:
         # graph has edges, else a sequential ramp — both exercise wake
         # orders that differ from vid order (the lockstep harness's
         # canonical-ordering contract must hold regardless).
-        if dep.graph.number_of_edges():
+        if dep.m:
             return staggered_neighbors(dep, gap=7)
         return sequential(dep.n, gap=3, seed=self.seed + 1)
 

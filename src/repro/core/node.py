@@ -6,7 +6,8 @@ observable but make the per-slot cost O(1):
 
 1. **Lazy counters.**  The pseudocode increments ``c_v`` and every local
    copy ``d_v(w)`` once per slot (Alg. 1, L5/L17/L18).  We store
-   ``(value_at_ref, ref_slot)`` pairs instead; the current value is
+   ``c_v`` as ``(value_at_ref, ref_slot)`` and each ``d_v(w)`` as the
+   one integer ``value_at_ref - ref_slot`` instead; the current value is
    ``value_at_ref + (slot - ref_slot)``.  Increments become free and the
    threshold crossing (L19) becomes a precomputed slot number.
 
@@ -33,8 +34,6 @@ hot path and make it do no work.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -89,7 +88,6 @@ class ColoringNode(ProtocolNode):
         "_crit",
         "_next_tx",
         "_queue",
-        "_queued",
         "_tc_counter",
         "_serving",
         "_serve_end",
@@ -113,15 +111,15 @@ class ColoringNode(ProtocolNode):
         # --- verification-state (A_i) machinery ---
         self._wait_end = _FAR  # first active slot (end of Alg.1 L4 loop)
         self._active = False
-        self._competitors: dict[int, tuple[int, int]] = {}  # w -> (c_w, slot)
+        self._competitors: dict[int, int] = {}  # w -> c_w - slot
         self._c_ref = 0
         self._c_ref_slot = 0
         self._decide_slot = _FAR
         self._crit = 0  # ceil(gamma * zeta_i * log n) for current i
         self._next_tx = _FAR
         # --- leader (C_0) machinery ---
-        self._queue: deque[int] = deque()
-        self._queued: set[int] = set()
+        # Requesters in arrival order (FIFO by insertion; keys only).
+        self._queue: dict[int, None] = {}
         self._tc_counter = 0  # tc (Alg.3 L7)
         self._serving: tuple[int, int] | None = None  # (target, tc)
         self._serve_end = _FAR
@@ -187,10 +185,10 @@ class ColoringNode(ProtocolNode):
         return self._c_ref + (slot - self._c_ref_slot)
 
     def _competitor_estimate(self, w: int, slot: int) -> int:
-        """Current local copy ``d_v(w)`` (stored value plus one increment
-        per elapsed slot; Alg. 1 L5/L18)."""
-        c_w, t0 = self._competitors[w]
-        return c_w + (slot - t0)
+        """Current local copy ``d_v(w)`` (the stored ``c_w - t0`` for a
+        counter ``c_w`` heard at slot ``t0``, plus one increment per slot;
+        Alg. 1 L5/L18)."""
+        return self._competitors[w] + slot
 
     def _chi(self, slot: int) -> int:
         """``chi(P_v)`` (Alg. 1 L15): the maximum value <= 0 outside the
@@ -245,13 +243,12 @@ class ColoringNode(ProtocolNode):
     def _leader_tick(self, slot: int) -> None:
         """Serving-window bookkeeping of a leader (Alg. 3 L16-21)."""
         if self._serving is not None and slot >= self._serve_end:
-            done = self._queue.popleft()  # L21
-            self._queued.discard(done)
+            del self._queue[self._serving[0]]  # L21: the served head
             self._serving = None
         if self._serving is None and self._queue:
             # L16-18: next request; tc is incremented per served node.
             self._tc_counter += 1
-            self._serving = (self._queue[0], self._tc_counter)
+            self._serving = (next(iter(self._queue)), self._tc_counter)
             self._serve_end = slot + self.params.serve_window
         self._queue_ready = _FAR
 
@@ -406,7 +403,7 @@ class ColoringNode(ProtocolNode):
             return True
         if isinstance(msg, CounterMessage) and msg.color == i:
             # L6-8 / L27-28: update the competitor list.
-            self._competitors[msg.sender] = (msg.counter, slot)
+            self._competitors[msg.sender] = msg.counter - slot
             if self._active:
                 # L29: reset when inside the critical range.
                 if abs(self.counter(slot) - msg.counter) <= self._crit:
@@ -432,13 +429,12 @@ class ColoringNode(ProtocolNode):
         if (
             isinstance(msg, RequestMessage)
             and msg.leader == self.vid
-            and msg.sender not in self._queued
+            and msg.sender not in self._queue
         ):
             if self._serving is None and not self._queue:
                 # An idle leader starts serving it at the next slot.
                 self._queue_ready = slot + 1
-            self._queue.append(msg.sender)
-            self._queued.add(msg.sender)
+            self._queue[msg.sender] = None
             return True
         return False
 

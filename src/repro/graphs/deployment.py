@@ -1,41 +1,66 @@
 """The :class:`Deployment` container consumed by the simulator and harness.
 
-A deployment is a static network snapshot: an undirected graph over nodes
-``0..n-1``, optional planar/metric positions, and a ``kind`` tag recording
-which generator produced it.  It caches the representations the hot
-simulation loop needs (per-node neighbor arrays) so that the radio engine
-never touches networkx during a run — per the HPC guides, the per-slot
-path works on plain ``numpy`` arrays.
+A deployment is a static network snapshot over nodes ``0..n-1``: its
+adjacency, optional planar/metric positions, and a ``kind`` tag recording
+which generator produced it.  The adjacency is held as CSR arrays
+``(indptr, indices)`` — node ``v``'s neighbors, ascending, are
+``indices[indptr[v]:indptr[v+1]]`` — and every fact the simulator,
+parameter layer and verifier read (``n``, ``m``, degrees, neighbor rows,
+2-hop rows, connectivity) comes from them, so a run never touches
+networkx; per the HPC guides, the per-slot path works on plain ``numpy``
+arrays.  The networkx graph is a view, built on first access of
+:attr:`Deployment.graph` (the generators that post-process a UDG, E8,
+TDMA and the BFS/greedy wake schedules read it).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 import networkx as nx
 import numpy as np
 from scipy import sparse
 
-__all__ = ["Deployment", "csr_arrays"]
+__all__ = ["Deployment", "csr_from_pairs"]
 
 
-def csr_arrays(lists: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten per-node index lists into CSR-style ``(indptr, indices)``
-    arrays: row ``v``'s entries are ``indices[indptr[v]:indptr[v+1]]``.
+def csr_from_pairs(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of the undirected graph on ``0..n-1``
+    whose edges are the rows of the ``(m, 2)`` array ``pairs``: row
+    ``v``'s entries, ``indices[indptr[v]:indptr[v+1]]``, are ``v``'s
+    neighbors in ascending order.  Both arrays are int64 and read-only.
 
-    :attr:`Deployment.csr` applies it to a deployment's neighbor arrays."""
+    One int64 key sort over both directions of every pair orders the
+    rows, and a ``bincount`` of the sources gives their lengths.  Raises
+    ``ValueError`` on a self-loop (a node would jam its own receptions
+    and count twice in its degree — meaningless under the radio model),
+    an endpoint outside ``0..n-1``, or a pair given twice.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    u, v = pairs[:, 0], pairs[:, 1]
+    if np.any(u == v):
+        raise ValueError("Deployment graphs must not contain self-loops")
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+    src = np.concatenate((u, v))
+    keys = src * n + np.concatenate((v, u))
+    keys.sort()
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("an edge is listed twice")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    if n:
-        indptr[1:] = np.cumsum([len(a) for a in lists])
-    indices = (
-        np.concatenate(lists) if n and indptr[-1] else np.empty(0, dtype=np.int64)
-    )
-    return indptr, indices.astype(np.int64, copy=False)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    indices = keys % n if n else keys
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices
 
 
-@dataclass
+def _rows(indptr: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
+    """Per-row views into ``indices``."""
+    ptr = indptr.tolist()
+    return [indices[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
 class Deployment:
     """A static radio-network topology.
 
@@ -44,7 +69,9 @@ class Deployment:
     graph:
         Undirected :class:`networkx.Graph` whose nodes are exactly
         ``0..n-1``.  Edges are communication links (Sect. 2: ``u`` and
-        ``v`` can communicate iff ``(u, v) in E``).
+        ``v`` can communicate iff ``(u, v) in E``).  Its edges become the
+        deployment's CSR arrays; :meth:`from_pairs` builds a deployment
+        from an edge-pair array without a graph.
     positions:
         Optional ``(n, d)`` array of node coordinates (UDG/UBG geometry).
     kind:
@@ -53,43 +80,93 @@ class Deployment:
         Free-form generator parameters (radius, area side, ...).
     """
 
-    graph: nx.Graph
-    positions: np.ndarray | None = None
-    kind: str = "graph"
-    meta: dict[str, Any] = field(default_factory=dict)
-
-    # Caches built lazily; never part of equality/repr.
-    _neighbors: list[np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _two_hop: list[np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _two_hop_csr: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _csr: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        n = self.graph.number_of_nodes()
-        if set(self.graph.nodes) != set(range(n)):
+    def __init__(
+        self,
+        graph: nx.Graph,
+        positions: np.ndarray | None = None,
+        kind: str = "graph",
+        meta: dict[str, Any] | None = None,
+    ) -> None:
+        n = graph.number_of_nodes()
+        if set(graph.nodes) != set(range(n)):
             raise ValueError(
                 "Deployment graphs must be labeled 0..n-1; relabel with "
                 "networkx.convert_node_labels_to_integers first"
             )
-        if any(True for _ in nx.selfloop_edges(self.graph)):
-            # A self-loop would make a node its own neighbor: it would jam
-            # its own receptions and double-count in degree — meaningless
-            # under the radio model's semantics.
-            raise ValueError("Deployment graphs must not contain self-loops")
-        if self.positions is not None:
-            self.positions = np.asarray(self.positions, dtype=float)
-            if self.positions.shape[0] != n:
-                raise ValueError(
-                    f"positions has {self.positions.shape[0]} rows for {n} nodes"
-                )
+        edges = np.fromiter(
+            chain.from_iterable(graph.edges),
+            dtype=np.int64,
+            count=2 * graph.number_of_edges(),
+        )
+        self._init(n, edges, positions, kind, meta)
+        self._graph: nx.Graph | None = graph
+        self._pairs: np.ndarray | None = None
+
+    @classmethod
+    def from_pairs(
+        cls,
+        n: int,
+        pairs: np.ndarray,
+        positions: np.ndarray | None = None,
+        kind: str = "graph",
+        meta: dict[str, Any] | None = None,
+    ) -> Deployment:
+        """The deployment on ``0..n-1`` whose edges are the rows of the
+        ``(m, 2)`` array ``pairs`` (each unordered pair once), built
+        without networkx.
+
+        :attr:`graph` is then built on first access by inserting the
+        pairs as a Python *set* of ``(u, v)`` tuples, in that set's
+        iteration order, into a fresh :class:`networkx.Graph` over
+        ``range(n)``.  For ``cKDTree.query_pairs(output_type="ndarray")``
+        that set is the one ``query_pairs`` returns by default, so the
+        graph's ``edges`` order — which the gray-zone sampling of
+        :func:`~repro.graphs.big.quasi_udg` and other edge-order-dependent
+        draws follow — is the one the k-d tree's pair set gives.
+        """
+        dep = cls.__new__(cls)
+        dep._init(n, pairs, positions, kind, meta)
+        dep._graph = None
+        dep._pairs = pairs
+        return dep
+
+    def _init(
+        self,
+        n: int,
+        pairs: np.ndarray,
+        positions: np.ndarray | None,
+        kind: str,
+        meta: dict[str, Any] | None,
+    ) -> None:
+        self._n = n
+        self._csr = csr_from_pairs(pairs, n)
+        if positions is not None:
+            positions = np.asarray(positions, dtype=float)
+            if positions.shape[0] != n:
+                raise ValueError(f"positions has {positions.shape[0]} rows for {n} nodes")
+        self.positions = positions
+        self.kind = kind
+        self.meta: dict[str, Any] = {} if meta is None else meta
+        # Caches built lazily from the CSR arrays.
+        self._neighbors: list[np.ndarray] | None = None
+        self._two_hop: list[np.ndarray] | None = None
+        self._two_hop_csr: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __repr__(self) -> str:
+        return f"Deployment(kind={self.kind!r}, n={self.n}, m={self.m})"
+
+    @property
+    def graph(self) -> nx.Graph:
+        """The topology as a :class:`networkx.Graph`, built on first
+        access for a deployment made by :meth:`from_pairs` (see there for
+        its edge order) and cached.  Nothing on the run path reads it;
+        mutating it does not change the deployment's CSR arrays."""
+        if self._graph is None:
+            g = nx.Graph()
+            g.add_nodes_from(range(self._n))
+            g.add_edges_from(set(map(tuple, np.asarray(self._pairs).tolist())))
+            self._graph, self._pairs = g, None
+        return self._graph
 
     # ------------------------------------------------------------------
     # Basic facts
@@ -97,53 +174,58 @@ class Deployment:
     @property
     def n(self) -> int:
         """Number of nodes."""
-        return self.graph.number_of_nodes()
+        return self._n
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        return self.graph.number_of_edges()
+        return len(self._csr[1]) // 2
 
     @property
     def max_degree(self) -> int:
         """Paper's ``Delta``: max over nodes of ``|N_v|`` *including v itself*
         (footnote 1 of the paper: "the degree of a node also includes the
         node itself")."""
-        if self.n == 0:
+        if self._n == 0:
             return 0
-        return 1 + max(d for _, d in self.graph.degree)
+        return 1 + int(np.diff(self._csr[0]).max())
 
     def degree(self, v: int) -> int:
         """``delta_v = |N_v|`` including ``v`` itself."""
-        return self.graph.degree[v] + 1
+        indptr = self._csr[0]
+        return int(indptr[v + 1] - indptr[v]) + 1
 
     # ------------------------------------------------------------------
-    # Cached adjacency for the simulator
+    # Adjacency for the simulator
     # ------------------------------------------------------------------
-    @property
-    def neighbors(self) -> list[np.ndarray]:
-        """Per-node sorted neighbor arrays (excluding the node itself)."""
-        if self._neighbors is None:
-            self._neighbors = [
-                np.fromiter(sorted(self.graph.neighbors(v)), dtype=np.int64)
-                for v in range(self.n)
-            ]
-        return self._neighbors
-
     @property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor adjacency as CSR-style ``(indptr, indices)`` arrays,
-        cached on the deployment: node ``v``'s neighbors are
-        ``indices[indptr[v]:indptr[v+1]]``.
+        """Neighbor adjacency as CSR-style ``(indptr, indices)`` arrays:
+        node ``v``'s neighbors are ``indices[indptr[v]:indptr[v+1]]``,
+        ascending.
 
-        Every PHY bind — and, in particular, every simulator of a seed
-        sweep over one shared deployment — shares this one structure
-        instead of re-flattening the neighbor lists per simulator.  The
-        arrays are read-only for all consumers.
+        The deployment's one primary adjacency, built with it.  Every PHY
+        bind — and, in particular, every simulator of a seed sweep over
+        one shared deployment — shares this one structure.  Both arrays
+        are read-only.
         """
-        if self._csr is None:
-            self._csr = csr_arrays(self.neighbors, self.n)
         return self._csr
+
+    @property
+    def neighbors(self) -> list[np.ndarray]:
+        """Per-node sorted neighbor arrays (excluding the node itself),
+        cached: read-only views into :attr:`csr`'s ``indices``."""
+        if self._neighbors is None:
+            self._neighbors = _rows(*self._csr)
+        return self._neighbors
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge once, as arrays ``u < v`` in ascending ``(u, v)``
+        order (the CSR rows are sorted)."""
+        indptr, indices = self._csr
+        first = np.repeat(np.arange(self._n), np.diff(indptr))
+        once = first < indices
+        return first[once], indices[once]
 
     def closed_neighborhood(self, v: int) -> np.ndarray:
         """``N_v`` — neighbors plus ``v`` itself, sorted."""
@@ -179,9 +261,7 @@ class Deployment:
         including ``v``), sorted, cached: read-only views into
         :attr:`two_hop_csr`'s ``indices``."""
         if self._two_hop is None:
-            indptr, indices = self.two_hop_csr
-            ptr = indptr.tolist()
-            self._two_hop = [indices[a:b] for a, b in zip(ptr, ptr[1:])]
+            self._two_hop = _rows(*self.two_hop_csr)
         return self._two_hop
 
     # ------------------------------------------------------------------
@@ -189,11 +269,24 @@ class Deployment:
     # ------------------------------------------------------------------
     def is_connected(self) -> bool:
         """Whether the communication graph is connected (empty graphs are
-        vacuously connected)."""
-        return self.n == 0 or nx.is_connected(self.graph)
+        vacuously connected), from :attr:`csr` by
+        ``scipy.sparse.csgraph.connected_components``."""
+        # Imported here: the package costs about 2 MB of RSS, and only
+        # connectivity checks need it.
+        from scipy.sparse.csgraph import connected_components
+
+        n = self._n
+        if n == 0:
+            return True
+        indptr, indices = self._csr
+        # float64 weights: the dtype csgraph works in, so nothing is converted.
+        adjacency = sparse.csr_matrix(
+            (np.ones(len(indices)), indices, indptr), shape=(n, n)
+        )
+        return connected_components(adjacency, directed=False, return_labels=False) == 1
 
     def subgraph_view(self, nodes: list[int]) -> nx.Graph:
-        """Read-only induced subgraph (used by independence computations)."""
+        """Read-only induced subgraph of :attr:`graph`."""
         return self.graph.subgraph(nodes)
 
     def describe(self) -> str:

@@ -38,7 +38,7 @@ def deployment_to_json(dep: Deployment) -> str:
     doc = {
         "format": "repro-deployment-v1",
         "n": dep.n,
-        "edges": sorted([int(u), int(v)] for u, v in dep.graph.edges),
+        "edges": np.column_stack(dep.edge_arrays()).tolist(),
         "positions": None
         if dep.positions is None
         else [[float(x) for x in row] for row in dep.positions],

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
 from scipy.spatial import cKDTree
 
-from repro.graphs.deployment import Deployment
 from repro._util import spawn_generator
+from repro.graphs.deployment import Deployment
 
 __all__ = ["torus_udg"]
 
@@ -54,15 +53,10 @@ def torus_udg(
         )
     rng = spawn_generator(seed)
     pts = rng.uniform(0.0, side, size=(n, 2))
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    if n > 1:
-        # KD-tree with box wrap-around (scipy supports periodic boxes).
-        tree = cKDTree(pts, boxsize=side)
-        for u, v in tree.query_pairs(r=radius):
-            g.add_edge(int(u), int(v))
-    return Deployment(
-        graph=g,
+    # KD-tree with box wrap-around (scipy supports periodic boxes).
+    return Deployment.from_pairs(
+        n,
+        cKDTree(pts, boxsize=side).query_pairs(r=radius, output_type="ndarray"),
         positions=pts,
         kind="torus_udg",
         meta={"radius": radius, "side": side, "seed": seed},

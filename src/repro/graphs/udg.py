@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -30,22 +29,22 @@ def udg_from_points(
     """Build the UDG over explicit ``(n, 2)`` coordinates.
 
     Two nodes are adjacent iff their Euclidean distance is ``<= radius``.
+    The k-d tree's pair array becomes the deployment's CSR arrays
+    directly; no networkx graph is built.  :attr:`Deployment.graph`
+    rebuilds the tree's pair *set* on first access: edge insertion order
+    feeds the gray-zone sampling loop in ``quasi_udg`` via
+    ``Graph.edges`` iteration, so changing it would silently re-roll
+    every pinned quasi-UDG scenario.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError(f"points must be 2-D, got shape {pts.shape}")
-    n = pts.shape[0]
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    if n > 1:
-        tree = cKDTree(pts)
-        # Bulk insertion, iterating the pair *set* (not the sorted
-        # ndarray): edge insertion order feeds the gray-zone sampling
-        # loop in quasi_udg via Graph.edges iteration, so changing it
-        # would silently re-roll every pinned quasi-UDG scenario.
-        g.add_edges_from(tree.query_pairs(r=radius))
-    return Deployment(
-        graph=g, positions=pts, kind=kind, meta={"radius": radius, **meta}
+    return Deployment.from_pairs(
+        pts.shape[0],
+        cKDTree(pts).query_pairs(r=radius, output_type="ndarray"),
+        positions=pts,
+        kind=kind,
+        meta={"radius": radius, **meta},
     )
 
 

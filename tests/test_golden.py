@@ -223,6 +223,66 @@ class TestGoldenColoring:
         assert report.leader_problems == []
         assert len(report.undecided) == 10_000 - 57
 
+    @pytest.mark.slow
+    def test_graph_free_100k_run_pinned(self, monkeypatch):
+        """Golden pin for one n = 100,000 run that never builds a
+        networkx graph (nightly).
+
+        ``Deployment.graph`` raises throughout: the UDG's adjacency comes
+        from the k-d tree's pair array, exact kappa from its CSR rows
+        (about 9 s here), a capped batched run (1,962 nodes decide, 51 of
+        them non-leaders) and ``verify_run`` from the same arrays.  The
+        constants run at practical scale 0.25 so that decisions fall
+        inside the 16,000-slot horizon; ~25 s, in the nightly
+        `make test-slow` job, deselected from tier-1.
+        """
+        from repro import Parameters
+        from repro.core import BernoulliColoringNode
+        from repro.graphs import Deployment
+        from repro.wakeup import uniform_random
+
+        def no_graph(dep):
+            raise AssertionError("the run path built Deployment.graph")
+
+        monkeypatch.setattr(Deployment, "graph", property(no_graph))
+        dep = random_udg(100_000, expected_degree=12, seed=1)
+        params = Parameters.for_deployment(dep, scale=0.25)
+        assert (dep.m, dep.max_degree, params.kappa1, params.kappa2) == (546_674, 29, 5, 12)
+        wake = uniform_random(100_000, window=400_000, seed=2)
+        res = run_coloring(
+            dep,
+            params,
+            wake,
+            seed=3,
+            node_cls=BernoulliColoringNode,
+            block=4096,
+            max_slots=16_000,
+            trace_level=0,
+        )
+        assert res.slots == 16_000
+        totals = res.trace.channel_metrics.totals()
+        assert totals == {
+            "tx": 756224,
+            "rx": 223309,
+            "collisions": 1008,
+            "lost": 0,
+            "protocol_draws": 1_600_000_000,
+            "loss_draws": 0,
+        }
+        digest = hashlib.sha256(
+            np.ascontiguousarray(res.colors, dtype=np.int64).tobytes()
+        ).hexdigest()
+        assert digest == (
+            "cc03e7da69d390028a5f737f6619e8c926b5a68849538f54fa92472415f1fe56"
+        )
+        summary = res.summary()
+        assert (summary["leaders"], summary["colors"], summary["max_color"]) == (1911, 3, 26)
+        report = verify_run(res)
+        assert report.proper_violations == []
+        assert report.temporal_violations == []
+        assert report.leader_problems == []
+        assert len(report.undecided) == 100_000 - 1962
+
     def test_ring_colors_pinned(self):
         res = run_coloring(ring_deployment(10), seed=3)
         res2 = run_coloring(ring_deployment(10), seed=3)

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Parameters, run_coloring
+from repro.analysis import verify_run
+from repro.core import BernoulliColoringNode, ColoringNode
 from repro.graphs import (
     Deployment,
     from_graph,
@@ -106,3 +109,25 @@ class TestConvenience:
 
     def test_describe_mentions_kind(self):
         assert "ring" in ring_deployment(5).describe()
+
+
+class TestGraphFree:
+    """The run path reads only the CSR arrays: with ``Deployment.graph``
+    raising, a connected UDG is sampled (seed 3 resamples once, so
+    ``is_connected`` runs on a disconnected draw too), parametrized with
+    exact kappa, run on both routes, verified and summarized."""
+
+    @pytest.mark.parametrize("node_cls", [BernoulliColoringNode, ColoringNode])
+    def test_run_never_builds_the_graph(self, monkeypatch, node_cls):
+        def no_graph(dep):
+            raise AssertionError("the run path built Deployment.graph")
+
+        monkeypatch.setattr(Deployment, "graph", property(no_graph))
+        dep = random_udg(40, expected_degree=8, seed=3, connected=True)
+        params = Parameters.for_deployment(dep, scale=2.0)
+        result = run_coloring(dep, params, seed=7, node_cls=node_cls)
+        report = verify_run(result)
+        assert result.completed and report.ok, report.describe()
+        summary = result.summary()
+        assert summary["n"] == 40 and summary["completed"] and summary["proper"]
+        assert "connected=True" in dep.describe()

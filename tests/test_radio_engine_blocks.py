@@ -40,7 +40,7 @@ from repro.graphs import random_udg, ring_deployment
 from repro.radio import CounterMessage, TraceRecorder
 from repro.radio.channel import ChannelCore, CollisionPhy, MultiChannelPhy
 from repro.radio.engine import _DRAW_BYTES, _DRAW_CHUNK, RadioSimulator
-from repro.wakeup import uniform_random
+from repro.wakeup import synchronous, uniform_random
 
 BLOCK_SIZES = (1, 2, 3, 7, 17, 64, 1_000_000)
 
@@ -368,6 +368,64 @@ def test_message_bits_checked_at_the_same_transmission_at_any_block():
             errors.append(str(err.value))
         assert errors == [errors[0]] * 3, node_cls.__name__
 
+
+
+#: Delivery-path scenarios: (n, expected degree, graph seed, wake window
+#: per node (0: synchronous), practical scale, loss, channels).
+DELIVERY_SCENARIOS = {
+    "contended": (32, 10.0, 5, 0, 1.0, 0.0, 1),
+    "lossy": (28, 8.0, 6, 0, 1.0, 0.2, 1),
+    "lossy-2ch-async": (28, 8.0, 7, 20, 2.0, 0.2, 2),
+}
+
+
+@pytest.mark.parametrize("node_cls", [BernoulliColoringNode, ColoringNode],
+                         ids=["batched", "classic"])
+@pytest.mark.parametrize("scenario", sorted(DELIVERY_SCENARIOS))
+def test_bulk_delivery_equals_row_walk(monkeypatch, scenario, node_cls):
+    """Multi-slot runs below trace level 2 are delivered in bulk
+    (``ChannelCore._deliver_bulk``), at level 2 row by row
+    (``ChannelCore._walk``): the same seeds at levels 0, 1 and 2 give
+    the same run — slots, colors, every channel-metric column and the
+    per-node tx/rx/collision counts — on both routes, with loss coins,
+    two channels and fire runs cut by a state-changing delivery."""
+    n, degree, graph_seed, window, scale, loss, channels = DELIVERY_SCENARIOS[scenario]
+    dep = random_udg(n, expected_degree=degree, seed=graph_seed)
+    params = Parameters.practical(n, max(2, dep.max_degree), 5, 18, scale=scale)
+    wake = uniform_random(n, window=window * n, seed=graph_seed) if window else synchronous(n)
+    bulk_runs: list[bool] = []  # one entry per bulk delivery: was it cut?
+    deliver_bulk = ChannelCore._deliver_bulk
+
+    def spy(core, candidates):
+        end = deliver_bulk(core, candidates)
+        bulk_runs.append(end < candidates.run.t1)
+        return end
+
+    monkeypatch.setattr(ChannelCore, "_deliver_bulk", spy)
+    results = {}
+    for level in (0, 1, 2):
+        bulk_runs.clear()
+        results[level] = run_coloring(dep, params, wake, seed=11, node_cls=node_cls,
+                                      trace_level=level, loss_prob=loss,
+                                      channels=channels)
+        if level < 2:
+            assert any(bulk_runs), f"level {level}: no bulk delivery was cut"
+        else:
+            assert not bulk_runs
+    walked = results[2]
+    assert walked.completed
+    walked_cols = walked.trace.channel_metrics.as_arrays()
+    assert (walked_cols["lost"].sum() > 0) == (loss > 0)
+    for level in (0, 1):
+        res = results[level]
+        assert res.slots == walked.slots
+        assert np.array_equal(res.colors, walked.colors)
+        cols = res.trace.channel_metrics.as_arrays()
+        assert set(cols) == set(walked_cols)
+        for name in cols:
+            assert np.array_equal(cols[name], walked_cols[name]), f"level {level}: {name}"
+        for attr in ("tx_count", "rx_count", "collision_count"):
+            assert np.array_equal(getattr(res.trace, attr), getattr(walked.trace, attr)), attr
 
 
 def test_segment_buffer_is_capped_in_bytes():
