@@ -50,14 +50,17 @@ arena:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Fast benchmark sanity pass: the engine microbenchmarks plus one
-# experiment bench at tiny scale.  Meant for pre-merge smoke, not for
-# archived numbers (timing claims come from bench/, exact work counts
-# from tests/test_radio_engine_blocks.py); works from a clean checkout
-# (no `make install` needed).
+# Fast benchmark sanity pass: the engine microbenchmarks, one
+# experiment bench at tiny scale, and the conformance harness's budget
+# gate (the quick matrix under 30 s, the one-cell time, the fuzz rate).
+# Meant for pre-merge smoke, not for archived numbers (timing claims
+# come from bench/, exact work counts from
+# tests/test_radio_engine_blocks.py); works from a clean checkout (no
+# `make install` needed).
 bench-smoke:
 	PYTHONPATH=src pytest benchmarks/bench_engine_microbench.py \
-	  benchmarks/bench_e1_correctness.py --benchmark-only -q
+	  benchmarks/bench_e1_correctness.py \
+	  benchmarks/bench_conform_lockstep.py --benchmark-only -q
 
 # Full-scale experiment sweeps (slow; writes benchmarks/results/full/).
 full-bench:

@@ -291,16 +291,17 @@ def _cmd_color(args) -> int:
     from repro.core import Parameters, run_coloring
     from repro.core.strategy import resolve_protocol
     from repro.analysis import verify_run
-    from repro.graphs import random_udg
     from repro.wakeup import ALL_SCHEDULES
 
     if args.list_protocols or args.list_phys:
         return _list_registries(args.list_protocols, args.list_phys)
-    dep = random_udg(args.n, expected_degree=args.degree, seed=args.seed)
-    print(f"deployment: {dep.describe()}")
     if args.block < 1:
         print("--block must be >= 1", file=sys.stderr)
         return 2
+    dep = _deployment(args)
+    if dep is None:
+        return 2
+    print(f"deployment: {dep.describe()}")
     scale_kwargs = {}
     if args.channels > 1 and args.regime == "practical":
         # Hopping thins the meeting rate by 1/k; scale the constants
@@ -451,6 +452,9 @@ def _cmd_experiment(args) -> int:
     mod = importlib.import_module(f"repro.experiments.{mod_name}")
     kwargs = {"quick": not args.full}
     if args.seeds is not None:
+        if args.seeds < 1:
+            print(f"--seeds must be >= 1, got {args.seeds}", file=sys.stderr)
+            return 2
         kwargs["seeds"] = args.seeds
     if args.workers is not None:
         kwargs["workers"] = args.workers
@@ -483,10 +487,24 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_kappa(args) -> int:
-    from repro.graphs import kappas, random_udg
+def _deployment(args):
+    """The ``--n``/``--degree``/``--seed`` UDG, or ``None`` after printing
+    the one-line reason the flags are invalid."""
+    from repro.graphs import random_udg
 
-    dep = random_udg(args.n, expected_degree=args.degree, seed=args.seed)
+    try:
+        return random_udg(args.n, expected_degree=args.degree, seed=args.seed)
+    except ValueError as exc:
+        print(f"invalid deployment flags: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_kappa(args) -> int:
+    from repro.graphs import kappas
+
+    dep = _deployment(args)
+    if dep is None:
+        return 2
     k1, k2 = kappas(dep)
     print(f"deployment: {dep.describe()}")
     print(f"kappa1={k1} (UDG bound 5), kappa2={k2} (UDG bound 18)")

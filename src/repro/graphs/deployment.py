@@ -269,21 +269,27 @@ class Deployment:
     # ------------------------------------------------------------------
     def is_connected(self) -> bool:
         """Whether the communication graph is connected (empty graphs are
-        vacuously connected), from :attr:`csr` by
-        ``scipy.sparse.csgraph.connected_components``."""
-        # Imported here: the package costs about 2 MB of RSS, and only
-        # connectivity checks need it.
-        from scipy.sparse.csgraph import connected_components
-
+        vacuously connected): a breadth-first search from node 0 over
+        :attr:`csr`, one frontier per step."""
         n = self._n
         if n == 0:
             return True
         indptr, indices = self._csr
-        # float64 weights: the dtype csgraph works in, so nothing is converted.
-        adjacency = sparse.csr_matrix(
-            (np.ones(len(indices)), indices, indptr), shape=(n, n)
-        )
-        return connected_components(adjacency, directed=False, return_labels=False) == 1
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        reached = 1
+        while frontier.size:
+            start = indptr[frontier]
+            degree = indptr[frontier + 1] - start
+            # The positions of the frontier's rows in ``indices``: a
+            # running count, shifted per row onto the row's start.
+            shift = start - (degree.cumsum() - degree)
+            nbrs = indices[np.arange(degree.sum()) + shift.repeat(degree)]
+            frontier = np.unique(nbrs[~seen[nbrs]])
+            seen[frontier] = True
+            reached += frontier.size
+        return reached == n
 
     def subgraph_view(self, nodes: list[int]) -> nx.Graph:
         """Read-only induced subgraph of :attr:`graph`."""

@@ -18,7 +18,9 @@ two cleanly separated roles:
 - the :class:`ChannelCore` applies the *model-independent* delivery
   law to those rows: exactly-one-overlap listeners receive (unless the
   injected-loss coin drops the message), two-or-more collide silently,
-  and every outcome is counted, in bulk, per node and per slot.
+  and every outcome is counted, in bulk, per node and per slot.  One
+  implementation, :meth:`ChannelCore.deliver`, takes every run: any
+  length, any trace level, aligned or unaligned.
 
 Determinism contract (every PHY must uphold it; see DESIGN.md §5.9):
 
@@ -107,7 +109,7 @@ class FireRun:
     made in (ascending node id on the vectorized engine, roster order on
     the classic route).  A run covers consecutive slots whose
     transmissions were decided under one frozen state, so it may contain
-    slots without transmissions.  The per-slot paths and the unaligned
+    slots without transmissions.  The per-slot loop and the unaligned
     simulator make runs of one slot.
 
     ``msgs`` is the message table that :class:`Candidates` rows index
@@ -126,8 +128,7 @@ class FireRun:
 
     ``draws`` holds, per slot of the run, the number of protocol-stream
     variates the slot consumed (``n`` per slot on the vectorized
-    engine).  ``slot`` and ``sender`` are numpy arrays, or plain lists
-    (see :class:`Candidates`).
+    engine).  ``slot`` and ``sender`` are int64 numpy arrays.
     """
 
     __slots__ = ("t0", "t1", "slot", "sender", "draws", "msgs", "nodes", "logged")
@@ -136,8 +137,8 @@ class FireRun:
         self,
         t0: int,
         t1: int,
-        slot: "np.ndarray | list[int]",
-        sender: "np.ndarray | list[int]",
+        slot: np.ndarray,
+        sender: np.ndarray,
         draws: Sequence[int],
         msgs: "list[Message | None] | None" = None,
         nodes: "Sequence[Any] | None" = None,
@@ -162,8 +163,8 @@ class FireRun:
         return cls(
             t,
             t + 1,
-            [t] * len(outbox),
-            [v for v, _ in outbox],
+            np.full(len(outbox), t, dtype=np.int64),
+            np.array([v for v, _ in outbox], dtype=np.int64),
             [draws],
             msgs=[msg for _, msg in outbox],
             logged=len(outbox),
@@ -197,10 +198,8 @@ class Candidates:
     decodable transmission (``count`` is then 1), ``-1`` when there is
     none (a collision); ``eligible`` is whether the listener could
     receive at all (awake and not transmitting itself).  ``len()`` is
-    the row count.
-
-    The columns are numpy arrays, or plain lists for a run of one slot:
-    a slot's handful of rows costs less in Python than in numpy calls.
+    the row count.  The columns are numpy arrays (int64, ``eligible``
+    bool), for a run of any length.
     """
 
     __slots__ = ("run", "slot", "listener", "count", "tx", "eligible")
@@ -208,11 +207,11 @@ class Candidates:
     def __init__(
         self,
         run: FireRun,
-        slot: "np.ndarray | list[int]",
-        listener: "np.ndarray | list[int]",
-        count: "np.ndarray | list[int]",
-        tx: "np.ndarray | list[int]",
-        eligible: "np.ndarray | list[bool]",
+        slot: np.ndarray,
+        listener: np.ndarray,
+        count: np.ndarray,
+        tx: np.ndarray,
+        eligible: np.ndarray,
     ) -> None:
         self.run = run
         self.slot = slot
@@ -228,27 +227,14 @@ class Candidates:
 
 _NONE = np.empty(0, dtype=np.int64)
 
-
-def _listed(column: "np.ndarray | list[Any]") -> list[Any]:
-    """A run or candidate column as a plain list."""
-    if isinstance(column, list):
-        return column
-    out: list[Any] = column.tolist()
-    return out
-
-
-def _matches(keys: tuple[np.ndarray, np.ndarray, np.ndarray], u: int, v: int) -> bool:
-    """Whether listener ``u``'s listen key is one of sender ``v``'s
-    message keys."""
-    listen, send_a, send_b = keys
-    return bool(listen[u] == send_a[v] or listen[u] == send_b[v])
-
-
-def _per_slot(slot: np.ndarray, idx: np.ndarray, t0: int, span: int) -> "array[int]":
-    """How many of the entries ``idx`` of ``slot`` fall on each slot of
-    ``[t0, t0 + span)``, as a metrics column."""
-    counts = np.bincount(slot[idx] - t0, minlength=span)
-    return array("i", counts.astype(np.int32).tobytes())
+#: What :meth:`ChannelCore.deliver` makes of each candidate row: a
+#: reception the receiver is called for, a collision, a reception the
+#: delivery keys filter out, one lost to its loss coin, or nothing (the
+#: listener was asleep or transmitting).  The values matter: an eligible
+#: row is first coded ``tx < 0``, and at trace level 2 the loop visits
+#: the rows coded up to ``_FILTERED``.  ``_SENT`` marks a transmission
+#: the loop records.
+_HEARD, _COLLIDED, _FILTERED, _LOST, _SILENT, _SENT = range(6)
 
 
 class ChannelCore:
@@ -358,186 +344,111 @@ class ChannelCore:
         transmitting) observe nothing; an eligible listener with a
         decodable transmission receives unless its loss coin drops the
         message (silently, like a collision); every other eligible row
-        is a collision.  Loss coins are drawn one per otherwise-
-        successful reception in canonical row order, so loss outcomes are
-        a function of the transmission set.
+        is a collision.  The loss coins are drawn in one call, one per
+        otherwise-successful reception in canonical row order, so loss
+        outcomes are a function of the transmission set.
 
         Receivers are called in canonical order, and only where
         :attr:`keys` say the message can matter; each call is reported
         to :attr:`on_deliver`, and a true result there means the state
         the run was drawn under changed, so the run is cut after that
-        slot: everything past the cut is dropped, and the returned end
-        tells the caller where to resume.  The transmissions of the
-        processed slots not yet logged (see :class:`FireRun`) are
-        recorded here, and every processed slot gets its
-        :class:`~repro.radio.trace.ChannelMetrics` row.
-
-        A run of several slots at trace level below 2 whose messages
-        need no size check is delivered in bulk (:meth:`_deliver_bulk`);
-        everything else row by row (:meth:`_walk`), which also writes the
-        level-2 event log in the per-slot order.
+        slot: everything past the cut is dropped, its loss coins are
+        rewound, and the returned end tells the caller where to resume.
+        At trace level 2, or under ``max_message_bits``, the same loop
+        first records each processed slot's transmissions not yet
+        logged (see :class:`FireRun`: size check, ``tx`` event), and at
+        level 2 it logs the slot's ``rx`` and ``collision`` rows after
+        them: the per-slot event order.  The per-node counters and the
+        :class:`~repro.radio.trace.ChannelMetrics` rows of the processed
+        slots are written once, from the arrays.
         """
-        run = candidates.run
-        if (
-            run.t1 - run.t0 == 1
-            or self.trace.level >= 2
-            or (run.logged < len(run) and self.max_message_bits is not None)
-        ):
-            return self._walk(candidates)
-        return self._deliver_bulk(candidates)
-
-    def _walk(self, candidates: Candidates) -> int:
-        """:meth:`deliver` in plain Python, slot by slot: each slot's
-        transmissions are recorded (size check, ``tx`` event), then its
-        rows delivered in order, with a scalar loss coin per
-        otherwise-successful reception."""
-        run = candidates.run
-        trace = self.trace
-        nodes = self.nodes
-        on_deliver = self.on_deliver
-        loss_rng = self._loss_rng
-        keys = self.keys
-        log = trace.level >= 2
-        logged = run.logged
-        emit = log or self.max_message_bits is not None
-        slots = _listed(candidates.slot)
-        listeners = _listed(candidates.listener)
-        counts = _listed(candidates.count)
-        txs = _listed(candidates.tx)
-        eligible = _listed(candidates.eligible)
-        senders = _listed(run.sender)
-        tx_slots = _listed(run.slot)
-        tx_col: list[int] = []
-        rx_col: list[int] = []
-        coll_col: list[int] = []
-        lost_col: list[int] = []
-        coin_col: list[int] = []
-        i = j = 0
-        s = run.t0
-        dirty = False
-        while s < run.t1 and not dirty:
-            sent = 0
-            while j < len(tx_slots) and tx_slots[j] == s:
-                if j >= logged:
-                    v = senders[j]
-                    msg = run.message(j) if emit else None
-                    if msg is not None:
-                        self._check_bits(s, v, msg)
-                    trace.tx(s, v, msg)
-                sent += 1
-                j += 1
-            rx = collided = lost = coins = 0
-            while i < len(slots) and slots[i] == s:
-                u, k, count, ok = listeners[i], txs[i], counts[i], eligible[i]
-                i += 1
-                if not ok:
-                    continue
-                if k < 0:
-                    trace.collision(s, u, count)
-                    collided += 1
-                    continue
-                if loss_rng is not None:
-                    coins += 1
-                    if loss_rng.random() < self.loss_prob:
-                        lost += 1  # injected fading loss: silent, like a collision
-                        continue
-                rx += 1
-                heard = keys is None or _matches(keys, u, senders[k])
-                msg = run.message(k) if heard or log else None
-                if heard:
-                    assert msg is not None
-                    report = nodes[u].deliver(s, msg)
-                    if on_deliver is not None and on_deliver(s, u, msg, report):
-                        dirty = True
-                trace.rx(s, u, msg)
-            tx_col.append(sent)
-            rx_col.append(rx)
-            coll_col.append(collided)
-            lost_col.append(lost)
-            coin_col.append(coins)
-            s += 1
-        draws = run.draws[: len(tx_col)]
-        trace.channels(run.t0, tx_col, rx_col, coll_col, lost_col, draws, coin_col)
-        return s
-
-    def _deliver_bulk(self, candidates: Candidates) -> int:
-        """:meth:`deliver` for a run of several slots: loss coins in one
-        draw, the key filter and all counters and metrics in numpy, and
-        Python only for the deliveries the filter lets through.  Loss
-        coins drawn past a cut are rewound."""
         run = candidates.run
         t0, t1 = run.t0, run.t1
         trace = self.trace
-        run_slot, run_sender = np.asarray(run.slot), np.asarray(run.sender)
-        slot = np.asarray(candidates.slot)
-        listener = np.asarray(candidates.listener)
-        tx = np.asarray(candidates.tx)
-        eligible = np.asarray(candidates.eligible)
-        decodable = tx >= 0
-        ok = np.flatnonzero(eligible & decodable)
-        collided = np.flatnonzero(eligible & ~decodable)
+        slot, listener, tx = candidates.slot, candidates.listener, candidates.tx
+        # An eligible row is _COLLIDED (1) where tx < 0, else _HEARD (0).
+        outcome = np.where(candidates.eligible, tx < 0, _SILENT)
+        ok = (outcome == _HEARD).nonzero()[0]
+        kept = ok
         loss_rng = self._loss_rng
         mark: tuple[dict[str, Any], int, int] | None = None
-        lost = _NONE
-        kept = ok
         if loss_rng is not None and ok.size:
             mark = loss_rng.checkpoint()
             dropped = loss_rng.random(ok.size) < self.loss_prob
-            kept, lost = ok[~dropped], ok[dropped]
+            outcome[ok[dropped]] = _LOST
+            kept = ok[~dropped]
         heard = kept
         if self.keys is not None and kept.size:
             listen, send_a, send_b = self.keys
             lk = listen[listener[kept]]
-            sender = run_sender[tx[kept]]
-            heard = kept[(lk == send_a[sender]) | (lk == send_b[sender])]
-        end = self._deliver_heard(run, slot[heard], listener[heard], tx[heard])
-
-        ntx = len(run)
-        if end < t1:
-            rows = int(np.searchsorted(slot, end))
-            ok = ok[: np.searchsorted(ok, rows)]
-            kept = kept[: np.searchsorted(kept, rows)]
-            lost = lost[: np.searchsorted(lost, rows)]
-            collided = collided[: np.searchsorted(collided, rows)]
-            ntx = int(np.searchsorted(run_slot, end))
-            if mark is not None and loss_rng is not None:
-                loss_rng.rewind(mark)
-                if ok.size:
-                    loss_rng.skip(ok.size)
-        np.add.at(trace.rx_count, listener[kept], 1)
-        np.add.at(trace.collision_count, listener[collided], 1)
-        if ntx > run.logged:
-            np.add.at(trace.tx_count, run_sender[run.logged : ntx], 1)
-        span = end - t0
-        trace.channels(
-            t0,
-            _per_slot(run_slot, np.arange(ntx), t0, span),
-            _per_slot(slot, kept, t0, span),
-            _per_slot(slot, collided, t0, span),
-            _per_slot(slot, lost, t0, span),
-            array("i", run.draws[:span]),
-            _per_slot(slot, ok, t0, span) if mark is not None else array("i", [0]) * span,
-        )
-        return end
-
-    def _deliver_heard(
-        self, run: FireRun, slot: np.ndarray, listener: np.ndarray, tx: np.ndarray
-    ) -> int:
-        """Call the receivers of the given rows in order, until a slot
-        whose deliveries changed the state; return the processed end."""
+            sender = run.sender[tx[kept]]
+            match = (lk == send_a[sender]) | (lk == send_b[sender])
+            heard = kept[match]
+            outcome[kept[~match]] = _FILTERED
+        log = trace.level >= 2
+        visit = (outcome <= _FILTERED).nonzero()[0] if log else heard
+        items = [slot[visit], outcome[visit], listener[visit], tx[visit], candidates.count[visit]]
+        if run.logged < len(run) and (log or self.max_message_bits is not None):
+            # Each slot's transmissions to record go before its rows (the
+            # last column, a row's overlap count, is unused for them).
+            j = np.arange(run.logged, len(run))
+            sent = [run.slot[j], np.full(j.size, _SENT), run.sender[j], j, j]
+            items = [np.concatenate(pair) for pair in zip(sent, items)]
+            order = items[0].argsort(kind="stable")
+            items = [column[order] for column in items]
         nodes = self.nodes
         on_deliver = self.on_deliver
         dirty = False
-        cur = run.t0
-        for s, u, k in zip(slot.tolist(), listener.tolist(), tx.tolist()):
-            if dirty and s != cur:
-                break
-            cur = s
-            msg = run.message(k)
-            report = nodes[u].deliver(s, msg)
-            if on_deliver is not None and on_deliver(s, u, msg, report):
-                dirty = True
-        return cur + 1 if dirty else run.t1
+        cur = t0
+        for s, what, u, k, count in zip(*[column.tolist() for column in items]):
+            if s != cur:
+                if dirty:
+                    break
+                cur = s
+            if what == _HEARD:
+                msg = run.message(k)
+                report = nodes[u].deliver(s, msg)
+                if on_deliver is not None and on_deliver(s, u, msg, report):
+                    dirty = True
+                if log:
+                    trace.log(s, u, "rx", {"msg": msg})
+            elif what == _FILTERED:
+                trace.log(s, u, "rx", {"msg": run.message(k)})
+            elif what == _COLLIDED:
+                trace.log(s, u, "collision", {"senders": count})
+            else:  # _SENT
+                msg = run.message(k)
+                self._check_bits(s, u, msg)
+                if log:
+                    trace.log(s, u, "tx", {"msg": msg})
+        end = cur + 1 if dirty else t1
+
+        ntx = len(run)
+        if end < t1:
+            rows = slot.searchsorted(end)
+            slot, listener, outcome = slot[:rows], listener[:rows], outcome[:rows]
+            ntx = int(run.slot.searchsorted(end))
+            kept = kept[: kept.searchsorted(rows)]
+            if mark is not None and loss_rng is not None:
+                loss_rng.rewind(mark)
+                coins = int(ok.searchsorted(rows))
+                if coins:
+                    loss_rng.skip(coins)
+        np.add.at(trace.rx_count, listener[kept], 1)
+        np.add.at(trace.collision_count, listener[outcome == _COLLIDED], 1)
+        if ntx > run.logged:
+            np.add.at(trace.tx_count, run.sender[run.logged : ntx], 1)
+        span = end - t0
+        counts = np.bincount((slot - t0) * 5 + outcome, minlength=5 * span).reshape(span, 5).T
+        columns = np.empty((6, span), dtype=np.int32)
+        columns[0] = np.bincount(run.slot[:ntx] - t0, minlength=span)
+        columns[1] = counts[_HEARD] + counts[_FILTERED]
+        columns[2] = counts[_COLLIDED]
+        columns[3] = counts[_LOST]
+        columns[4] = run.draws[:span]
+        columns[5] = columns[1] + columns[3] if loss_rng is not None else 0
+        trace.channels(t0, *[array("i", column.tobytes()) for column in columns])
+        return end
 
 
 class PhyHost(Protocol):
@@ -603,34 +514,10 @@ class PhyModel(ABC):
         if not run:
             return _NONE, _NONE
         neighbors = self._neighbors
-        sender = np.asarray(run.sender)
+        sender = run.sender
         listener = np.concatenate([neighbors[v] for v in sender.tolist()])
-        k_of = np.repeat(np.arange(len(run)), self._degree[sender])
+        k_of = np.arange(len(run)).repeat(self._degree[sender])
         return k_of, listener
-
-    def _slot_rows(self, run: FireRun, touched: list[list[int]]) -> Candidates:
-        """The rows of a run of one slot, in plain Python: transmission
-        ``k`` reaches the listeners ``touched[k]``."""
-        count: dict[int, int] = {}
-        first: dict[int, int] = {}
-        for k, listeners in enumerate(touched):
-            for u in listeners:
-                if u in count:
-                    count[u] += 1
-                else:
-                    count[u] = 1
-                    first[u] = k
-        on_air = set(_listed(run.sender))
-        nodes = self._nodes
-        rows = sorted(count)
-        return Candidates(
-            run,
-            [run.t0] * len(rows),
-            rows,
-            [count[u] for u in rows],
-            [first[u] if count[u] == 1 else -1 for u in rows],
-            [nodes[u].awake and u not in on_air for u in rows],
-        )
 
     def _rows(
         self, run: FireRun, k_of: np.ndarray, listener: np.ndarray
@@ -642,25 +529,26 @@ class PhyModel(ABC):
         pairs = k_of.size
         if pairs == 0:
             return Candidates(run, _NONE, _NONE, _NONE, _NONE, np.zeros(0, dtype=bool))
-        n, t0 = self._n, run.t0
-        base = (np.asarray(run.slot) - t0) * n  # key of (slot, node 0), per transmission
+        base = (run.slot - run.t0) * self._n  # key of (slot, node 0), per transmission
         key = base[k_of] + listener
-        order = np.argsort(key)
+        order = key.argsort()
         key = key[order]
         new = np.empty(pairs + 1, dtype=bool)
         new[0] = new[pairs] = True
         np.not_equal(key[1:], key[:-1], out=new[1:pairs])
-        edge = np.flatnonzero(new)  # row starts, then the end
+        edge = new.nonzero()[0]  # row starts, then the end
         head = edge[:-1]
         count = edge[1:] - head
-        row_key = key[head]
-        lis = row_key % n
-        slot = row_key // n + t0
-        tx = k_of[order[head]]
+        first = order[head]  # each row's first touch pair
+        lis = listener[first]
+        tx = k_of[first]
+        slot = run.slot[tx]
         tx[count != 1] = -1
         # A listener transmitting in the same slot hears nothing.
-        own = np.sort(base + np.asarray(run.sender))
-        on_air = own.take(np.searchsorted(own, row_key), mode="clip") == row_key
+        own = base + run.sender
+        own.sort()
+        row_key = key[head]
+        on_air = own.take(own.searchsorted(row_key), mode="clip") == row_key
         eligible = (self._wake_slots[lis] <= slot) & ~on_air
         return Candidates(run, slot, lis, count, tx, eligible)
 
@@ -676,9 +564,6 @@ class CollisionPhy(PhyModel):
 
     def resolve(self, slot: int, run: FireRun) -> Candidates:
         """Every transmission touches all graph neighbors of its sender."""
-        if run.t1 - run.t0 == 1:
-            neighbors = self._neighbors
-            return self._slot_rows(run, [neighbors[v].tolist() for v in _listed(run.sender)])
         return self._rows(run, *self._touches(run))
 
 
@@ -688,15 +573,10 @@ class MultiChannelPhy(PhyModel):
     Every node sits on one of ``channels`` channels per slot; a
     transmission is heard only by graph neighbors on the *same* channel,
     so collisions thin out while the sender–listener match probability
-    drops as ``1/channels``.  Channel selection per slot and node:
-
-    - a node exposing a ``pick_channel(slot) -> int`` method reports its
-      own channel (protocol-controlled hopping; the method must be pure,
-      like ``emit``, since a run asks it for every fire slot up front);
-    - every other node hops uniformly at random, drawn from the PHY's
-      *own* metered side stream — a child spawned off the protocol
-      generator at :meth:`bind`, so multi-channel runs keep the protocol
-      trajectory contract (side-stream isolation).
+    drops as ``1/channels``.  Every node hops uniformly at random each
+    slot, drawn from the PHY's *own* metered side stream — a child
+    spawned off the protocol generator at :meth:`bind`, so multi-channel
+    runs keep the protocol trajectory contract (side-stream isolation).
 
     The closed-form counterpart is
     :func:`repro.radio.batch.multichannel_reception_rates`; this class
@@ -717,14 +597,6 @@ class MultiChannelPhy(PhyModel):
         # Side-stream isolation: hopping draws never touch the protocol
         # stream (metered separately; see channel_draws).
         self._hop_rng = RngMeter(sim.rng.spawn(1)[0])
-        # (vid, bound pick_channel) for protocol-controlled hoppers;
-        # fetched via getattr since pick_channel is an optional protocol
-        # extension, not part of the ProtocolNode interface.
-        self._reporters: list[tuple[int, Callable[[int], int]]] = [
-            (v, getattr(node, "pick_channel"))
-            for v, node in enumerate(self._nodes)
-            if hasattr(node, "pick_channel")
-        ]
         # The last run's fire slots and the hop stream before their draw,
         # for rewind().
         self._hop_slots = _NONE
@@ -736,24 +608,15 @@ class MultiChannelPhy(PhyModel):
         return self._hop_rng.draws
 
     def _channels(self, fire_slots: np.ndarray) -> np.ndarray:
-        """Per fire slot (row) and node (column), the channel: hop draws
-        overridden by reported channels.  One ``(m, n)`` draw consumes
-        the stream exactly like ``m`` per-slot draws of ``n``; drawing
-        only for slots with transmissions is deterministic because the
-        transmission set is."""
+        """Per fire slot (row) and node (column), the hopped channel.  One
+        ``(m, n)`` draw consumes the stream exactly like ``m`` per-slot
+        draws of ``n``; drawing only for slots with transmissions is
+        deterministic because the transmission set is."""
         self._hop_mark = self._hop_rng.checkpoint()
         self._hop_slots = fire_slots
         chan: np.ndarray = self._hop_rng.integers(
             0, self.channels, size=(fire_slots.size, self._n)
         )
-        for i, slot in enumerate(fire_slots.tolist()):
-            for v, pick in self._reporters:
-                c = int(pick(slot))
-                if not 0 <= c < self.channels:
-                    raise ValueError(
-                        f"node {v} picked channel {c} outside [0, {self.channels})"
-                    )
-                chan[i, v] = c
         return chan
 
     def resolve(self, slot: int, run: FireRun) -> Candidates:
@@ -762,21 +625,12 @@ class MultiChannelPhy(PhyModel):
         slots only, so idle slots consume nothing from the side stream."""
         if not run:
             return self._rows(run, _NONE, _NONE)
-        if run.t1 - run.t0 == 1:
-            hop = self._channels(np.array([run.t0]))[0]
-            neighbors = self._neighbors
-            return self._slot_rows(
-                run,
-                [
-                    [u for u in neighbors[v].tolist() if hop[u] == hop[v]]
-                    for v in _listed(run.sender)
-                ],
-            )
-        fire_slots, row = np.unique(run.slot, return_inverse=True)
+        fire_slots = np.unique(run.slot)
+        row = fire_slots.searchsorted(run.slot)
         chan = self._channels(fire_slots)
         k_of, listener = self._touches(run)
         r = row[k_of]
-        same = chan[r, np.asarray(run.sender)[k_of]] == chan[r, listener]
+        same = chan[r, run.sender[k_of]] == chan[r, listener]
         return self._rows(run, k_of[same], listener[same])
 
     def rewind(self, end: int) -> None:
@@ -871,8 +725,8 @@ class SinrPhy(PhyModel):
     def resolve(self, slot: int, run: FireRun) -> Candidates:
         """Per-slot SINR judgement of each fire slot of ``run``."""
         rows: list[tuple[int, int, int, int, bool]] = []
-        slots = _listed(run.slot)
-        senders = _listed(run.sender)
+        slots = run.slot.tolist()
+        senders = run.sender.tolist()
         a = 0
         while a < len(slots):
             b = a + 1

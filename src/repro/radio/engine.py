@@ -78,7 +78,6 @@ changes three experiments later.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from heapq import heapify, heappop, heappush
 from typing import Any
@@ -470,7 +469,15 @@ class RadioSimulator(SlotSteppedSimulator):
             if d < lim:
                 heappush(heap, (d, pos))
         self._due_min = min(due)
-        return FireRun(t, lim, slots, senders, draws, msgs=msgs, logged=len(outbox))
+        return FireRun(
+            t,
+            lim,
+            np.array(slots, dtype=np.int64),
+            np.array(senders, dtype=np.int64),
+            draws,
+            msgs=msgs,
+            logged=len(outbox),
+        )
 
     def _take_back(self, end: int) -> None:
         """Undo the current span's steps taken at slots ``>= end``: the
@@ -635,7 +642,7 @@ class RadioSimulator(SlotSteppedSimulator):
             s = self._stop_at(t, run.t1, stop_when, check_every)
             if s is not None and s < run.t1:
                 self._take_back(s)
-                k = bisect_left(run.slot, s)
+                k = int(run.slot.searchsorted(s))
                 run = FireRun(
                     t, s, run.slot[:k], run.sender[:k], run.draws[: s - t],
                     msgs=run.msgs[:k], nodes=run.nodes, logged=run.logged,

@@ -222,20 +222,12 @@ class TraceRecorder:
         if self.level >= 2:
             self.events.append(TraceEvent(slot, node, "tx", {"msg": msg}))
 
-    def rx(self, slot: int, node: int, msg: Any) -> None:
-        """Count (and at level 2, log) a reception; ``msg`` may be
-        ``None`` below level 2, where it is not logged."""
-        self.rx_count[node] += 1
+    def log(self, slot: int, node: int, kind: str, data: dict[str, Any]) -> None:
+        """At level 2, log a channel event (``"tx"``, ``"rx"`` or
+        ``"collision"``) without counting it: the channel core writes
+        the per-node counters of the rows it delivers from its arrays."""
         if self.level >= 2:
-            self.events.append(TraceEvent(slot, node, "rx", {"msg": msg}))
-
-    def collision(self, slot: int, node: int, senders: int) -> None:
-        """Count (and at level 2, log) a collided listener slot."""
-        self.collision_count[node] += 1
-        if self.level >= 2:
-            self.events.append(
-                TraceEvent(slot, node, "collision", {"senders": senders})
-            )
+            self.events.append(TraceEvent(slot, node, kind, data))
 
     def channels(
         self,

@@ -91,8 +91,7 @@ class _SlotBuffer:
     def reset(self) -> None:
         self.count[:] = 0
         self.tx[:] = False
-        for i in range(len(self.msg)):
-            self.msg[i] = None
+        self.msg[:] = [None] * len(self.msg)
 
 
 class UnalignedRadioSimulator(SlotSteppedSimulator):
@@ -157,11 +156,10 @@ class UnalignedRadioSimulator(SlotSteppedSimulator):
         self._cur = _SlotBuffer(n)
         self._nxt = _SlotBuffer(n)
         # A transmission overlaps up to two listener slots but is decoded
-        # at most once: remember what each listener decoded last slot.
-        # (Relies on protocols returning a fresh message object per
-        # transmission, which all nodes in this library do.)
-        self._just_delivered: list[Message | None] = [None] * n
-        self._delivered_now: list[tuple[int, Message]] = []
+        # at most once: the (listener, message) decodes of the slot being
+        # finalized.  (Relies on protocols returning a fresh message
+        # object per transmission, which all nodes in this library do.)
+        self._decoded: list[tuple[int, Message]] = []
         # Metrics lag: slot t's transmitters and protocol draws, emitted
         # with slot t's outcomes when step t+1 finalizes it.
         self._pending_senders: list[int] = []
@@ -177,7 +175,7 @@ class UnalignedRadioSimulator(SlotSteppedSimulator):
     def _on_deliver(self, slot: int, u: int, msg: Message, report: bool | None) -> bool:
         """Core delivery hook: track decodes for double-overlap dedup
         (never cuts: every run here is one slot)."""
-        self._delivered_now.append((u, msg))
+        self._decoded.append((u, msg))
         return False
 
     def step(self) -> None:
@@ -235,51 +233,46 @@ class UnalignedRadioSimulator(SlotSteppedSimulator):
         delivery law and loss injection and write slot ``k``'s metrics
         row.  The run's transmissions are slot ``k``'s own (logged by
         :meth:`ChannelCore.record_tx` when step ``k`` ran); its message
-        table holds each row's first overlapping message.  A listener is
+        table is the buffer's, each listener's first overlapping message
+        at the listener's index.  A listener is
         eligible iff it was awake in slot ``k`` and did not itself
         transmit then; the second overlap of an already-decoded
         transmission is dropped before the core sees it (it must neither
         re-deliver nor consume a loss draw for a decode that already
-        happened).
+        happened).  A slot in which nothing was sent or heard gets its
+        metrics row without the core.
         """
-        just = self._just_delivered
-        wake_slots = self.wake_slots
-        listeners: list[int] = []
-        counts: list[int] = []
-        eligible: list[bool] = []
-        msgs: list[Message | None] = []
-        for u in np.flatnonzero(buf.count).tolist():
-            count = int(buf.count[u])
-            msg = buf.msg[u]
-            if count == 1 and msg is just[u]:
-                continue  # second overlap of an already-decoded tx
-            listeners.append(u)
-            counts.append(count)
-            eligible.append(bool(wake_slots[u] <= k) and not buf.tx[u])
-            msgs.append(msg)
+        msgs = buf.msg
+        count = buf.count
+        last, self._decoded = self._decoded, []
+        # The buffer is reset after this slot, so the dropped second
+        # overlaps are simply cleared from it.
+        count[[u for u, msg in last if count[u] == 1 and msgs[u] is msg]] = 0
+        listener = count.nonzero()[0]
+        count = count[listener]
         senders = self._pending_senders
+        if not listener.size and not senders:
+            # Nothing sent or heard: like an empty slot of the aligned
+            # per-slot loop, the core is skipped.
+            self.trace.channel_metrics.append(0, 0, 0, 0, self._pending_draws, 0)
+            return
         run = FireRun(
             k,
             k + 1,
-            [k] * len(senders),
-            senders,
+            np.full(len(senders), k, dtype=np.int64),
+            np.array(senders, dtype=np.int64),
             [self._pending_draws],
             msgs=msgs,
             logged=len(senders),
         )
-        self._delivered_now.clear()
         self.core.deliver(
             k,
             Candidates(
                 run,
-                [k] * len(listeners),
-                listeners,
-                counts,
-                [i if c == 1 else -1 for i, c in enumerate(counts)],
-                eligible,
+                np.full(listener.size, k, dtype=np.int64),
+                listener,
+                count,
+                np.where(count == 1, listener, -1),
+                (self.wake_slots[listener] <= k) & ~buf.tx[listener],
             ),
         )
-        new_last: list[Message | None] = [None] * self.deployment.n
-        for u, msg in self._delivered_now:
-            new_last[u] = msg
-        self._just_delivered = new_last

@@ -238,3 +238,27 @@ class TestExperiment:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["color", "--n", "-3"], "n must be non-negative"),
+        (["color", "--degree", "1"], "expected_degree"),
+        (["kappa", "--n", "-3"], "n must be non-negative"),
+        (["kappa", "--degree", "0"], "expected_degree"),
+        (["experiment", "e1", "--seeds", "0"], "--seeds must be >= 1"),
+        (["experiment", "e1", "--seeds", "-2"], "--seeds must be >= 1"),
+    ],
+    ids=["color-n", "color-degree", "kappa-n", "kappa-degree", "seeds-0", "seeds-negative"],
+)
+def test_bad_inputs_exit_2(capsys, argv, message):
+    """Bad deployment flags and a seed count below one print a one-line
+    message and exit 2, like invalid ``conform`` flags: no traceback, and
+    no table of ``nan`` rows."""
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
+    assert len(captured.err.strip().splitlines()) == 1

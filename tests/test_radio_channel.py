@@ -6,7 +6,7 @@ Three layers:
   isolation, and the delivery law applied to candidate rows;
 - **PHY models**: :class:`CollisionPhy` as the extracted default and
   :class:`MultiChannelPhy` (per-channel resolution, side-stream
-  isolation, the protocol-controlled ``pick_channel`` hook);
+  isolation);
 - **refactor parity** (the pinned matrix): six cells of the 24-cell
   conformance matrix were run against the *pre-refactor* engine and
   their slot counts and per-path channel totals recorded as literals.
@@ -124,58 +124,6 @@ class TestMultiChannelPhy:
         for _ in range(50):
             sim.step()
         assert sim.phy.channel_draws == 0
-
-    def test_pick_channel_hook(self):
-        """Nodes reporting a channel id steer resolution: a sender and
-        listener pinned to the same channel always connect; pinned to
-        different channels, never."""
-
-        class PinnedBeacon(BeaconNode):
-            def __init__(self, vid, channel):
-                super().__init__(vid, p=1.0)
-                self.channel = channel
-
-            def pick_channel(self, slot):
-                return self.channel
-
-        class PinnedListener(ListenerNode):
-            def __init__(self, vid, channel):
-                super().__init__(vid)
-                self.channel = channel
-
-            def pick_channel(self, slot):
-                return self.channel
-
-        dep = path_deployment(2)
-        for lis_chan, expect_rx in ((1, 10), (0, 0)):
-            nodes = [PinnedBeacon(0, 1), PinnedListener(1, lis_chan)]
-            sim = RadioSimulator(
-                dep,
-                nodes,
-                np.zeros(2, dtype=np.int64),
-                np.random.default_rng(6),
-                phy=MultiChannelPhy(2),
-            )
-            for _ in range(10):
-                sim.step()
-            assert len(nodes[1].received) == expect_rx
-
-    def test_reported_channel_out_of_range_raises(self):
-        class BadBeacon(BeaconNode):
-            def pick_channel(self, slot):
-                return 7
-
-        dep = path_deployment(2)
-        nodes = [BadBeacon(0, p=1.0), ListenerNode(1)]
-        sim = RadioSimulator(
-            dep,
-            nodes,
-            np.zeros(2, dtype=np.int64),
-            np.random.default_rng(7),
-            phy=MultiChannelPhy(2),
-        )
-        with pytest.raises(ValueError, match="channel"):
-            sim.step()
 
     def test_full_protocol_on_two_channels(self):
         # Halving the meeting rate halves what each listening window

@@ -20,10 +20,10 @@ The conformance wall (``repro conform``) pins specific scenarios at
 trace level 2; the Hypothesis property here walks random deployments,
 wake schedules, seeds, loss rates, channel counts, trace levels, stop
 granularities, and block sizes (including ``block=1`` and ``block`` far
-beyond the run length).  Multi-slot runs below level 2 deliver in bulk
-unless message sizes are checked (``sync-contended`` and
+beyond the run length).  Every run, of any length at any trace level,
+is delivered by the one ``ChannelCore.deliver`` (``sync-contended`` and
 ``async-lossy-2ch`` run at level 0, ``e1-sweep`` at the default level
-1); one-slot runs and level 2 take the core's row walk.
+1).
 """
 
 from __future__ import annotations
@@ -383,49 +383,47 @@ DELIVERY_SCENARIOS = {
                          ids=["batched", "classic"])
 @pytest.mark.parametrize("scenario", sorted(DELIVERY_SCENARIOS))
 def test_bulk_delivery_equals_row_walk(monkeypatch, scenario, node_cls):
-    """Multi-slot runs below trace level 2 are delivered in bulk
-    (``ChannelCore._deliver_bulk``), at level 2 row by row
-    (``ChannelCore._walk``): the same seeds at levels 0, 1 and 2 give
+    """One ``ChannelCore.deliver`` takes every run at every trace level
+    (level 2 once took a separate row walk, hence the name): level 2
+    only adds the event log.  The same seeds at levels 0, 1 and 2 give
     the same run — slots, colors, every channel-metric column and the
     per-node tx/rx/collision counts — on both routes, with loss coins,
-    two channels and fire runs cut by a state-changing delivery."""
+    two channels and, at every level, fire runs cut by a state-changing
+    delivery."""
     n, degree, graph_seed, window, scale, loss, channels = DELIVERY_SCENARIOS[scenario]
     dep = random_udg(n, expected_degree=degree, seed=graph_seed)
     params = Parameters.practical(n, max(2, dep.max_degree), 5, 18, scale=scale)
     wake = uniform_random(n, window=window * n, seed=graph_seed) if window else synchronous(n)
-    bulk_runs: list[bool] = []  # one entry per bulk delivery: was it cut?
-    deliver_bulk = ChannelCore._deliver_bulk
+    cut_runs: list[bool] = []  # one entry per delivery: was it cut?
+    deliver = ChannelCore.deliver
 
-    def spy(core, candidates):
-        end = deliver_bulk(core, candidates)
-        bulk_runs.append(end < candidates.run.t1)
+    def spy(core, t, candidates):
+        end = deliver(core, t, candidates)
+        cut_runs.append(end < candidates.run.t1)
         return end
 
-    monkeypatch.setattr(ChannelCore, "_deliver_bulk", spy)
+    monkeypatch.setattr(ChannelCore, "deliver", spy)
     results = {}
     for level in (0, 1, 2):
-        bulk_runs.clear()
+        cut_runs.clear()
         results[level] = run_coloring(dep, params, wake, seed=11, node_cls=node_cls,
                                       trace_level=level, loss_prob=loss,
                                       channels=channels)
-        if level < 2:
-            assert any(bulk_runs), f"level {level}: no bulk delivery was cut"
-        else:
-            assert not bulk_runs
-    walked = results[2]
-    assert walked.completed
-    walked_cols = walked.trace.channel_metrics.as_arrays()
-    assert (walked_cols["lost"].sum() > 0) == (loss > 0)
+        assert any(cut_runs), f"level {level}: no delivery was cut"
+    logged = results[2]
+    assert logged.completed
+    logged_cols = logged.trace.channel_metrics.as_arrays()
+    assert (logged_cols["lost"].sum() > 0) == (loss > 0)
     for level in (0, 1):
         res = results[level]
-        assert res.slots == walked.slots
-        assert np.array_equal(res.colors, walked.colors)
+        assert res.slots == logged.slots
+        assert np.array_equal(res.colors, logged.colors)
         cols = res.trace.channel_metrics.as_arrays()
-        assert set(cols) == set(walked_cols)
+        assert set(cols) == set(logged_cols)
         for name in cols:
-            assert np.array_equal(cols[name], walked_cols[name]), f"level {level}: {name}"
+            assert np.array_equal(cols[name], logged_cols[name]), f"level {level}: {name}"
         for attr in ("tx_count", "rx_count", "collision_count"):
-            assert np.array_equal(getattr(res.trace, attr), getattr(walked.trace, attr)), attr
+            assert np.array_equal(getattr(res.trace, attr), getattr(logged.trace, attr)), attr
 
 
 def test_segment_buffer_is_capped_in_bytes():

@@ -5,7 +5,8 @@ into persistent arrays with surgical resets) is an optimization; the
 *specification* is three sentences from Sect. 2.  This test replays
 random topologies and random transmission patterns through both the
 engine and a brute-force oracle implementing the specification
-literally, and demands identical deliveries.
+literally, and demands identical deliveries and an identical level-2
+``rx``/``collision`` event log.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import from_graph
-from repro.radio import ColorMessage, ProtocolNode, RadioSimulator
+from repro.radio import ColorMessage, ProtocolNode, RadioSimulator, TraceRecorder
 
 
 class ScriptedNode(ProtocolNode):
@@ -40,8 +41,11 @@ class ScriptedNode(ProtocolNode):
 
 def oracle_deliveries(graph, wake, tx_plan, horizon):
     """Literal Sect. 2 semantics: node u receives in slot t iff u is awake,
-    u is not transmitting, and exactly one neighbor of u transmits."""
+    u is not transmitting, and exactly one neighbor of u transmits; with
+    two or more it collides.  Returns, per node, its receptions as
+    ``(slot, sender)`` and its collisions as ``(slot, sender count)``."""
     out = {v: [] for v in graph.nodes}
+    collided = {v: [] for v in graph.nodes}
     for t in range(horizon):
         transmitting = {
             v for v in graph.nodes if wake[v] <= t and t in tx_plan[v]
@@ -52,7 +56,9 @@ def oracle_deliveries(graph, wake, tx_plan, horizon):
             senders = [v for v in graph.neighbors(u) if v in transmitting]
             if len(senders) == 1:
                 out[u].append((t, senders[0]))
-    return out
+            elif senders:
+                collided[u].append((t, len(senders)))
+    return out, collided
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,16 +82,27 @@ def test_engine_matches_bruteforce_oracle(n, p_edge, graph_seed, data):
         )
         for v in range(n)
     }
-    nodes = [ScriptedNode(v, tx_plan[v]) for v in range(n)]
-    sim = RadioSimulator(
-        dep, nodes, np.array(wake, dtype=np.int64), np.random.default_rng(0)
-    )
-    for _ in range(horizon):
-        sim.step()
-
-    expected = oracle_deliveries(dep.graph, wake, tx_plan, horizon)
-    for v in range(n):
-        assert nodes[v].received == expected[v], f"node {v} diverged"
+    expected, collided = oracle_deliveries(dep.graph, wake, tx_plan, horizon)
+    for level in (1, 2):
+        nodes = [ScriptedNode(v, tx_plan[v]) for v in range(n)]
+        sim = RadioSimulator(
+            dep, nodes, np.array(wake, dtype=np.int64), np.random.default_rng(0),
+            trace=TraceRecorder(n, level=level),
+        )
+        for _ in range(horizon):
+            sim.step()
+        for v in range(n):
+            assert nodes[v].received == expected[v], f"level {level}: node {v} diverged"
+    # The level-2 run's event log, against the oracle's rows.
+    logged_rx = {v: [] for v in range(n)}
+    logged_collisions = {v: [] for v in range(n)}
+    for e in sim.trace.events:
+        if e.kind == "rx":
+            logged_rx[e.node].append((e.slot, e.data["msg"].sender))
+        elif e.kind == "collision":
+            logged_collisions[e.node].append((e.slot, e.data["senders"]))
+    assert logged_rx == expected
+    assert logged_collisions == collided
 
 
 @settings(max_examples=30, deadline=None)

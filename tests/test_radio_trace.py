@@ -1,6 +1,25 @@
 """Tests for the trace recorder."""
 
-from repro.radio import TraceRecorder
+import numpy as np
+
+from repro._util import RngMeter
+from repro.radio import ChannelCore, ColorMessage, TraceRecorder
+from repro.radio.channel import Candidates, FireRun
+
+from .conftest import ListenerNode
+
+
+def _deliver(trace, listener, count):
+    """Deliver slot 0, in which node 0 sends, through the channel core to
+    eligible listeners with the given overlap counts (a count of 1
+    decodes node 0's message)."""
+    one = np.zeros(1, dtype=np.int64)
+    run = FireRun(0, 1, one, one, [0], msgs=[ColorMessage(sender=0, color=0)], logged=1)
+    count = np.array(count, dtype=np.int64)
+    rows = Candidates(run, np.zeros_like(count), np.array(listener, dtype=np.int64),
+                      count, np.where(count == 1, 0, -1), np.ones(count.size, dtype=bool))
+    nodes = [ListenerNode(v) for v in range(trace.n)]
+    ChannelCore(nodes, trace, RngMeter(np.random.default_rng(0))).deliver(0, rows)
 
 
 class TestCounters:
@@ -8,15 +27,15 @@ class TestCounters:
         tr = TraceRecorder(3, level=0)
         tr.tx(0, 1, None)
         tr.tx(1, 1, None)
-        tr.rx(1, 2, None)
+        _deliver(tr, listener=[2], count=[1])
         assert tr.tx_count.tolist() == [0, 2, 0]
         assert tr.rx_count.tolist() == [0, 0, 1]
         assert tr.events == []  # level 0 stores no events
 
     def test_collision_count(self):
         tr = TraceRecorder(2, level=2)
-        tr.collision(5, 0, senders=3)
-        assert tr.collision_count[0] == 1
+        _deliver(tr, listener=[1], count=[3])
+        assert tr.collision_count.tolist() == [0, 1]
         assert tr.events[0].data["senders"] == 3
 
 
